@@ -137,16 +137,8 @@ class BigKSubgraphResult:
 def build_subgraph_2w(
     block: SuperkmerBlock, policy: SizingPolicy | None = None,
     allow_regrow: bool = True, preaggregate: bool = False,
-    protocol: str = "locked", table_layout: str = "flat",
-    n_shards: int = 8,
 ) -> BigKSubgraphResult:
-    """One subgraph through the two-word concurrent hash table.
-
-    ``protocol``/``table_layout``/``n_shards`` select the insert
-    protocol and table layout exactly like
-    :func:`repro.core.subgraph.build_subgraph`; every combination
-    produces the identical graph.
-    """
+    """One subgraph through the two-word concurrent hash table."""
     policy = policy or SizingPolicy()
     n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
@@ -156,14 +148,7 @@ def build_subgraph_2w(
         hi, lo, slots, counts = preaggregate_observations_2w(hi, lo, slots)
     n_regrow_cap = policy.capacity_for(max(1, n_kmers)) * 64
     while True:
-        if table_layout == "sharded":
-            from ..parallel.sharded import ShardedTwoWordHashTable
-
-            table = ShardedTwoWordHashTable(capacity, block.k,
-                                            n_shards=n_shards,
-                                            protocol=protocol)
-        else:
-            table = TwoWordHashTable(capacity, block.k, protocol=protocol)
+        table = TwoWordHashTable(capacity, block.k)
         try:
             table.insert_batch(hi, lo, slots, counts=counts)
             break

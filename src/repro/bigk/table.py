@@ -151,8 +151,7 @@ class TwoWordHashTable:
 
     def insert_batch(self, hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
                      counts: np.ndarray | None = None,
-                     chunk: int = 1 << 20,
-                     on_full: str = "raise") -> np.ndarray | None:
+                     chunk: int = 1 << 20) -> None:
         """Apply ``(hi, lo, slot)`` observations, vectorized.
 
         With ``counts`` given (the pre-aggregation path of
@@ -163,14 +162,7 @@ class TwoWordHashTable:
         protocol would have executed, exactly as the one-word
         :meth:`repro.core.hashtable.ConcurrentHashTable.insert_batch`
         does — ``HashStats.lock_reduction`` is unchanged by aggregation.
-
-        ``on_full="return"`` mirrors the one-word table: instead of
-        raising on a full table, the unplaced observation indices are
-        returned with their upfront metering rolled back (the sharded
-        layout's neighbor-fallback path).
         """
-        if on_full not in ("raise", "return"):
-            raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
         hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
         lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
         slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
@@ -182,24 +174,16 @@ class TwoWordHashTable:
                 raise ValueError("counts must parallel hi, lo and slots")
             if counts.size and int(counts.min()) < 1:
                 raise ValueError("every aggregated count must be >= 1")
-        leftovers: list[np.ndarray] = []
         for start in range(0, hi.size, chunk):
-            left = self._insert_chunk(
+            self._insert_chunk(
                 hi[start:start + chunk], lo[start:start + chunk],
                 slots[start:start + chunk],
                 None if counts is None else counts[start:start + chunk],
-                on_full=on_full,
             )
-            if left is not None and left.size:
-                leftovers.append(left + start)
         if self._atomic_state is not None:
             # Keep threaded-mode flags in sync when a quiescent table
             # mixes batch and threaded insertions.
             self._resync_atomic()
-        if on_full == "return":
-            return (np.concatenate(leftovers) if leftovers
-                    else np.empty(0, dtype=np.int64))
-        return None
 
     def _resync_atomic(self) -> None:
         """Rebuild the atomic plane from the mirror (quiescent tables only).
@@ -218,8 +202,7 @@ class TwoWordHashTable:
         else:
             raw[:] = self.state  # checks: allow[R1] single-threaded resync
 
-    def _insert_chunk(self, hi, lo, slots, weights=None,
-                      on_full: str = "raise") -> np.ndarray | None:
+    def _insert_chunk(self, hi, lo, slots, weights=None) -> None:
         stats = self.stats
         n = hi.size
         n_ops = n if weights is None else int(weights.sum())
@@ -232,12 +215,6 @@ class TwoWordHashTable:
         while pending.size:
             rounds += 1
             if rounds > self.capacity + 2:
-                if on_full == "return":
-                    n_left = (pending.size if weights is None
-                              else int(weights[pending].sum()))
-                    stats.ops -= n_left  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    stats.count_increments -= n_left  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    return pending.copy()
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )
@@ -356,8 +333,6 @@ class TwoWordHashTable:
         spins = 0
         while True:
             if offset >= self.capacity:
-                stats.ops -= 1
-                stats.count_increments -= 1
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )
@@ -422,8 +397,6 @@ class TwoWordHashTable:
         spins = 0
         while True:
             if offset >= self.capacity:
-                stats.ops -= 1
-                stats.count_increments -= 1
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )

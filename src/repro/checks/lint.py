@@ -115,7 +115,7 @@ SPAWN_CALLS = frozenset({"Process", "run_workers"})
 
 #: Attribute chains that name a protocol counter (R8): the §III-E
 #: queue cursors plus any shard-local counter (``shard_occ``,
-#: ``self.shards[i]``, ...) of the sharded table layout.
+#: ``self.shards[i]``, ...).
 _COUNTERISH = re.compile(r"\b_?(srv|cns|prd|wrt|shards?\w*)\b")
 
 _LOCKISH = re.compile(r"lock|mutex|cond", re.IGNORECASE)

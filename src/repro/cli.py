@@ -89,18 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measure this host's kernel rates and size claim "
                         "weights from the fitted device model "
                         "(processes backend)")
-    p.add_argument("--table-layout", choices=["flat", "sharded"],
-                   default="flat",
-                   help="hash-table layout: one flat table per partition, "
-                        "or hash-prefix shards with private lock regions")
-    p.add_argument("--insert-protocol", choices=["locked", "lockfree"],
-                   default="locked",
-                   help="per-slot insert protocol: the paper's "
-                        "EMPTY->LOCKED->OCCUPIED state transfer, or the "
-                        "single-CAS lock-free publish")
-    p.add_argument("--shards", type=int, default=8,
-                   help="shard count for --table-layout sharded "
-                        "(power of two)")
     p.add_argument("--output", required=True, help="graph file (.phdbg)")
     p.add_argument("--tsv", help="also export adjacency lists as TSV")
     p.add_argument("--min-multiplicity", type=int, default=1,
@@ -192,17 +180,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_config(args: argparse.Namespace, p: int) -> ParaHashConfig:
+    """The ``repro build`` flags as a run configuration."""
+    return ParaHashConfig(
+        k=args.k, p=p, n_partitions=args.partitions,
+        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
+        pipeline=args.pipeline, preaggregate=args.preaggregate,
+        calibrate=args.calibrate,
+    )
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     reads = load_read_batch(args.input)
     if args.k > 31:
         return _build_bigk(args, reads)
-    config = ParaHashConfig(
-        k=args.k, p=args.p, n_partitions=args.partitions,
-        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, preaggregate=args.preaggregate,
-        calibrate=args.calibrate, table_layout=args.table_layout,
-        insert_protocol=args.insert_protocol, n_shards=args.shards,
-    )
+    config = _build_config(args, args.p)
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None
     )
@@ -235,13 +227,7 @@ def _build_bigk(args: argparse.Namespace, reads) -> int:
         print("error: --tsv export is only supported for k <= 31",
               file=sys.stderr)
         return 2
-    config = ParaHashConfig(
-        k=args.k, p=min(args.p, 31), n_partitions=args.partitions,
-        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, preaggregate=args.preaggregate,
-        calibrate=args.calibrate, table_layout=args.table_layout,
-        insert_protocol=args.insert_protocol, n_shards=args.shards,
-    )
+    config = _build_config(args, min(args.p, 31))
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None
     )

@@ -10,20 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from .estimator import SizingPolicy
 
 #: Execution backends of :meth:`repro.core.parahash.ParaHash.build_graph`.
 BACKENDS = ("serial", "threads", "processes")
-
-#: Hash-table layouts: one flat table per partition, or the partition's
-#: segment sliced by hash prefix into shards with private lock regions
-#: (:mod:`repro.parallel.sharded`).
-TABLE_LAYOUTS = ("flat", "sharded")
-
-#: Insert protocols: the paper's EMPTY->LOCKED->OCCUPIED state transfer,
-#: or the lock-free single-CAS publish (no LOCKED intermediate state).
-INSERT_PROTOCOLS = ("locked", "lockfree")
 
 
 @dataclass(frozen=True)
@@ -75,20 +67,6 @@ class ParaHashConfig:
         ``processes`` backend only: run a short warm-up measurement
         pass, fit the :mod:`repro.hetsim.device` model to this host,
         and size per-worker chunk/partition claim weights from it.
-    table_layout:
-        ``"flat"`` keeps one table per partition; ``"sharded"`` slices
-        each partition's table by hash prefix into ``n_shards`` shards,
-        each with a private state plane and lock-stripe region, so
-        concurrent inserts mostly stay inside their own shard (see
-        :mod:`repro.parallel.sharded`).
-    insert_protocol:
-        ``"locked"`` runs the paper's EMPTY->LOCKED->OCCUPIED state
-        transfer; ``"lockfree"`` claims the slot by CASing the key/tag
-        word directly — publication *is* the claim, there is no LOCKED
-        intermediate state (counts stay atomic fetch-adds).
-    n_shards:
-        Shard count for ``table_layout="sharded"``; must be a power of
-        two.  Ignored by the flat layout.
     """
 
     k: int = 27
@@ -102,9 +80,11 @@ class ParaHashConfig:
     pipeline: bool = True
     preaggregate: bool = True
     calibrate: bool = False
-    table_layout: str = "flat"
-    insert_protocol: str = "locked"
-    n_shards: int = 8
+
+    #: Not a field: every build inserts each partition from one owner
+    #: with the paper's state-transfer protocol.  The benchmark's traced
+    #: replay reads it to construct its tables the way a build does.
+    insert_protocol: ClassVar[str] = "locked"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -127,20 +107,6 @@ class ParaHashConfig:
             )
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0 (0 = auto)")
-        if self.table_layout not in TABLE_LAYOUTS:
-            raise ValueError(
-                f"table_layout must be one of {TABLE_LAYOUTS}, "
-                f"got {self.table_layout!r}"
-            )
-        if self.insert_protocol not in INSERT_PROTOCOLS:
-            raise ValueError(
-                f"insert_protocol must be one of {INSERT_PROTOCOLS}, "
-                f"got {self.insert_protocol!r}"
-            )
-        if self.n_shards < 1 or self.n_shards & (self.n_shards - 1):
-            raise ValueError(
-                f"n_shards must be a positive power of two, got {self.n_shards}"
-            )
 
     def workers(self) -> int:
         """Resolved worker count for the parallel backends (>= 1)."""

@@ -85,8 +85,9 @@ _KNOWN_BUGS = frozenset(
 )
 _SEEDED_BUGS: frozenset = frozenset()
 
-#: Insert protocols selectable per table (mirrors
-#: :data:`repro.core.config.INSERT_PROTOCOLS`).
+#: Insert protocols selectable per table: the paper's
+#: EMPTY->LOCKED->OCCUPIED state transfer, or the lock-free single-CAS
+#: publish (no LOCKED intermediate state).
 PROTOCOLS = ("locked", "lockfree")
 
 
@@ -311,8 +312,7 @@ class ConcurrentHashTable:
 
     def insert_batch(self, kmers: np.ndarray, slots: np.ndarray,
                      counts: np.ndarray | None = None,
-                     chunk: int = 1 << 20,
-                     on_full: str = "raise") -> np.ndarray | None:
+                     chunk: int = 1 << 20) -> None:
         """Apply ``(kmer, counter-slot)`` observations, vectorized.
 
         Each observation increments ``counts[entry(kmer), slot]``,
@@ -335,17 +335,8 @@ class ConcurrentHashTable:
 
         Single-threaded only: this path writes the numpy mirror
         directly and must never overlap :meth:`insert_threaded`.
-
-        ``on_full="raise"`` (default) raises :class:`TableFullError`
-        when probing wraps a full table.  ``on_full="return"`` instead
-        returns the indices (into ``kmers``) of the observations that
-        could not be applied, with their upfront op/increment metering
-        rolled back — the sharded layout's neighbor-fallback path, which
-        re-tries them on the next shard.  Probes and CAS failures paid
-        before the wrap stay metered: they really happened.
+        Raises :class:`TableFullError` when probing wraps a full table.
         """
-        if on_full not in ("raise", "return"):
-            raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
         kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
         slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
         if kmers.shape != slots.shape:
@@ -356,27 +347,18 @@ class ConcurrentHashTable:
                 raise ValueError("counts must parallel kmers and slots")
             if counts.size and int(counts.min()) < 1:
                 raise ValueError("every aggregated count must be >= 1")
-        leftovers: list[np.ndarray] = []
         for lo in range(0, kmers.size, chunk):
-            left = self._insert_chunk(
+            self._insert_chunk(
                 kmers[lo : lo + chunk], slots[lo : lo + chunk],
                 None if counts is None else counts[lo : lo + chunk],
-                on_full=on_full,
             )
-            if left is not None and left.size:
-                leftovers.append(left + lo)
         if self._atomic_state is not None:
             # Keep the authoritative threaded-mode flags in sync when a
             # quiescent table mixes batch and threaded insertions.
             self._resync_atomic()
-        if on_full == "return":
-            return (np.concatenate(leftovers) if leftovers
-                    else np.empty(0, dtype=np.int64))
-        return None
 
     def _insert_chunk(self, kmers: np.ndarray, slots: np.ndarray,
-                      weights: np.ndarray | None = None,
-                      on_full: str = "raise") -> np.ndarray | None:
+                      weights: np.ndarray | None = None) -> None:
         stats = self.stats
         n = kmers.size
         n_ops = n if weights is None else int(weights.sum())
@@ -389,15 +371,6 @@ class ConcurrentHashTable:
         while pending.size:
             rounds += 1
             if rounds > self.capacity + 2:
-                if on_full == "return":
-                    # Roll back the upfront metering for the unplaced
-                    # observations so the caller's retry on a neighbor
-                    # shard re-meters them exactly once.
-                    n_left = (pending.size if weights is None
-                              else int(weights[pending].sum()))
-                    stats.ops -= n_left
-                    stats.count_increments -= n_left
-                    return pending.copy()
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity} "
                     f"(occupied {self.n_occupied})"
@@ -541,11 +514,6 @@ class ConcurrentHashTable:
         spins = 0
         while True:
             if offset >= self.capacity:
-                # Un-meter the op before raising: a sharded wrapper
-                # catches this and re-runs the op on a neighbor shard,
-                # which meters it again.
-                stats.ops -= 1
-                stats.count_increments -= 1
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )
@@ -631,8 +599,6 @@ class ConcurrentHashTable:
         offset = 0
         while True:
             if offset >= self.capacity:
-                stats.ops -= 1
-                stats.count_increments -= 1
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )

@@ -134,10 +134,7 @@ class ParaHash:
 
         def process(block: SuperkmerBlock) -> SubgraphResult:
             return build_subgraph(block, policy=cfg.sizing, n_threads=1,
-                                  preaggregate=cfg.preaggregate,
-                                  protocol=cfg.insert_protocol,
-                                  table_layout=cfg.table_layout,
-                                  n_shards=cfg.n_shards)
+                                  preaggregate=cfg.preaggregate)
 
         if cfg.n_threads == 1 or len(nonempty) <= 1:
             return [process(b) for b in nonempty], {}
@@ -280,10 +277,7 @@ class ParaHash:
 
         def process(block: SuperkmerBlock):
             return build_subgraph_2w(block, policy=cfg.sizing,
-                                     preaggregate=cfg.preaggregate,
-                                     protocol=cfg.insert_protocol,
-                                     table_layout=cfg.table_layout,
-                                     n_shards=cfg.n_shards)
+                                     preaggregate=cfg.preaggregate)
 
         records: dict[str, WorkerRecord] = {}
         if cfg.n_threads > 1 and len(nonempty) > 1:

@@ -142,9 +142,6 @@ def build_subgraph(
     n_threads: int = 1,
     allow_regrow: bool = True,
     preaggregate: bool = False,
-    protocol: str = "locked",
-    table_layout: str = "flat",
-    n_shards: int = 8,
 ) -> SubgraphResult:
     """Construct one subgraph with the concurrent hash table.
 
@@ -166,12 +163,6 @@ def build_subgraph(
     callers can see the estimate was breached.  With
     ``allow_regrow=False`` the overflow raises
     :class:`repro.core.hashtable.TableFullError` instead.
-
-    ``protocol`` selects the per-slot insert protocol (``locked`` state
-    transfer or ``lockfree`` CAS-publish) and ``table_layout`` the
-    table layout (``flat`` or the hash-prefix ``sharded`` wrapper with
-    ``n_shards`` shards); every combination produces the identical
-    graph.
     """
     policy = policy or SizingPolicy()
     n_kmers = block.total_kmers()
@@ -182,13 +173,7 @@ def build_subgraph(
         vertex_ids, slots, counts = preaggregate_observations(vertex_ids, slots)
     n_regrows = 0
     while True:
-        if table_layout == "sharded":
-            from ..parallel.sharded import ShardedHashTable
-
-            table = ShardedHashTable(capacity, block.k, n_shards=n_shards,
-                                     protocol=protocol)
-        else:
-            table = ConcurrentHashTable(capacity, block.k, protocol=protocol)
+        table = ConcurrentHashTable(capacity, block.k)
         try:
             if n_threads == 1:
                 table.insert_batch(vertex_ids, slots, counts=counts)

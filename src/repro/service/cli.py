@@ -51,13 +51,6 @@ def add_service_commands(sub) -> None:
                    help="claim weight (relative share of the pool)")
     p.add_argument("--max-memory", default="0",
                    help="memory budget, human units ok (e.g. 4G)")
-    p.add_argument("--table-layout", choices=["flat", "sharded"],
-                   default="flat", help="hash-table layout for the build")
-    p.add_argument("--insert-protocol", choices=["locked", "lockfree"],
-                   default="locked", help="per-slot insert protocol")
-    p.add_argument("--shards", type=int, default=8,
-                   help="shard count for --table-layout sharded "
-                        "(power of two)")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs", help="list jobs (from a daemon or from disk)")
@@ -117,9 +110,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "n_step1_tasks": args.step1_tasks,
         "claim_weight": args.weight,
         "max_memory": args.max_memory,
-        "table_layout": args.table_layout,
-        "insert_protocol": args.insert_protocol,
-        "n_shards": args.shards,
     }
     reply = _http(f"{args.url.rstrip('/')}/jobs", "POST", spec)
     print(reply["id"])

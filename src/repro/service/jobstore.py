@@ -39,6 +39,12 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 MAX_K_2W = 63  # two-word big-k ceiling (repro.bigk)
 
+#: Keys older ``job.json`` files carry for hash-table options that no
+#: longer exist.  Every value they could hold built the same graph, so
+#: :meth:`JobStore.load` drops them and the job stays resumable.
+#: Submitted specs still reject them as unknown fields.
+RETIRED_SPEC_KEYS = ("table_layout", "insert_protocol", "n_shards")
+
 
 class JobError(ValueError):
     """A malformed job spec or an operation on a missing job."""
@@ -69,9 +75,6 @@ class JobSpec:
     step2_delay: float = 0.0
     lam: float = 2.0
     alpha: float = 0.7
-    table_layout: str = "flat"
-    insert_protocol: str = "locked"
-    n_shards: int = 8
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_K_2W:
@@ -88,22 +91,6 @@ class JobSpec:
             raise JobError("step2_delay must be >= 0")
         if self.max_memory < 0:
             raise JobError("max_memory must be >= 0")
-        from ..core.config import INSERT_PROTOCOLS, TABLE_LAYOUTS
-
-        if self.table_layout not in TABLE_LAYOUTS:
-            raise JobError(
-                f"table_layout must be one of {TABLE_LAYOUTS}, "
-                f"got {self.table_layout!r}"
-            )
-        if self.insert_protocol not in INSERT_PROTOCOLS:
-            raise JobError(
-                f"insert_protocol must be one of {INSERT_PROTOCOLS}, "
-                f"got {self.insert_protocol!r}"
-            )
-        if self.n_shards < 1 or self.n_shards & (self.n_shards - 1):
-            raise JobError(
-                f"n_shards must be a positive power of two, got {self.n_shards}"
-            )
 
     @property
     def big_k(self) -> bool:
@@ -254,6 +241,9 @@ class JobStore:
         spec_doc = read_json(job_dir / "job.json")
         if spec_doc is None:
             raise JobError(f"no such job: {job_id}")
+        if isinstance(spec_doc, dict):
+            for key in RETIRED_SPEC_KEYS:
+                spec_doc.pop(key, None)
         return JobRecord(job_id, job_dir, JobSpec.from_dict(spec_doc))
 
     def list_jobs(self) -> list[JobRecord]:

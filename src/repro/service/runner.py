@@ -172,9 +172,6 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
         step2_params = {
             "k": spec.k, "lam": spec.lam, "alpha": spec.alpha,
             "preaggregate": spec.preaggregate,
-            "table_layout": spec.table_layout,
-            "insert_protocol": spec.insert_protocol,
-            "n_shards": spec.n_shards,
         }
         partition_digests = {
             part: file_digest(path)
@@ -198,9 +195,6 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
                                 / f"subgraph_{part:04d}.phdbg"),
                 "k": spec.k, "lam": spec.lam, "alpha": spec.alpha,
                 "preaggregate": spec.preaggregate,
-                "table_layout": spec.table_layout,
-                "insert_protocol": spec.insert_protocol,
-                "n_shards": spec.n_shards,
                 "delay": spec.step2_delay,
             })
 

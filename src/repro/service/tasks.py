@@ -98,25 +98,16 @@ def _run_step2(task: dict) -> dict:
     policy = SizingPolicy(lam=float(task.get("lam", 2.0)),
                           alpha=float(task.get("alpha", 0.7)))
     preaggregate = bool(task.get("preaggregate", False))
-    table_layout = str(task.get("table_layout", "flat"))
-    insert_protocol = str(task.get("insert_protocol", "locked"))
-    n_shards = int(task.get("n_shards", 8))
     out_path = Path(task["out_path"])
     if k > 31:
         from ..bigk import build_subgraph_2w
         from ..bigk.serialize import save_big_graph
-        built = build_subgraph_2w(block, policy, preaggregate=preaggregate,
-                                  protocol=insert_protocol,
-                                  table_layout=table_layout,
-                                  n_shards=n_shards)
+        built = build_subgraph_2w(block, policy, preaggregate=preaggregate)
         tmp = out_path.with_name(out_path.name + ".tmp")
         n_bytes = save_big_graph(tmp, built.graph)
     else:
         from ..graph.serialize import save_graph
-        built = build_subgraph(block, policy, preaggregate=preaggregate,
-                               protocol=insert_protocol,
-                               table_layout=table_layout,
-                               n_shards=n_shards)
+        built = build_subgraph(block, policy, preaggregate=preaggregate)
         tmp = out_path.with_name(out_path.name + ".tmp")
         n_bytes = save_graph(tmp, built.graph)
     atomic_replace(tmp, out_path)

@@ -250,29 +250,19 @@ def test_cross_process_cas_2w_rejects_small_k():
         )
 
 
-# -- CI backend x k x layout x protocol matrix leg --------------------------------
+# -- CI backend x k matrix leg ------------------------------------------------------
 #
 # In CI the `matrix` suite runs this module with REPRO_MATRIX_K and
 # REPRO_MATRIX_BACKEND set (k in {21, 45} x backend in {serial,
-# threads, processes}), and the table-axes legs add REPRO_MATRIX_LAYOUT
-# x REPRO_MATRIX_PROTOCOL ({flat, sharded} x {locked, lockfree});
-# locally the acceptance-criterion cell (k=45 on the pipelined
-# processes backend with the sharded layout and lock-free protocol)
-# runs by default.
+# threads, processes}); locally the k=45 cell on the pipelined
+# processes backend runs by default.
 
 MATRIX_K = int(os.environ.get("REPRO_MATRIX_K", "45"))
 MATRIX_BACKEND = os.environ.get("REPRO_MATRIX_BACKEND", "processes")
-MATRIX_LAYOUT = os.environ.get("REPRO_MATRIX_LAYOUT", "sharded")
-MATRIX_PROTOCOL = os.environ.get("REPRO_MATRIX_PROTOCOL", "lockfree")
 
 
 def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
-    """`repro build` at the (k, backend, layout, protocol) cell equals serial.
-
-    The serial reference always builds flat/locked; the cell build uses
-    the matrix layout and protocol, so every leg also asserts the
-    cross-axes graph identity the sharded/lock-free refactor promises.
-    """
+    """`repro build` at the (k, backend) cell equals the serial build."""
     from repro.cli import main as cli_main
     from repro.dna.io import save_read_batch
     from repro.graph.compare import compare_graphs
@@ -287,9 +277,7 @@ def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
     assert cli_main(base + ["--backend", "serial",
                             "--output", str(serial_out)]) == 0
     cell_out = tmp_path / "cell.phdbg"
-    argv = base + ["--backend", backend, "--output", str(cell_out),
-                   "--table-layout", MATRIX_LAYOUT,
-                   "--insert-protocol", MATRIX_PROTOCOL]
+    argv = base + ["--backend", backend, "--output", str(cell_out)]
     if backend == "processes":
         argv += ["--workers", "2", "--pipeline"]
     elif backend == "threads":

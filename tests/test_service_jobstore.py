@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.service.jobstore import JobError, JobSpec, JobStore
+from repro.service.jobstore import (
+    RETIRED_SPEC_KEYS,
+    JobError,
+    JobSpec,
+    JobStore,
+)
 
 
 def spec(**over) -> JobSpec:
@@ -40,6 +45,13 @@ class TestJobSpec:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(JobError, match="unknown"):
             JobSpec.from_dict({"input": "/r.fa", "kmer": 15})
+
+    @pytest.mark.parametrize("key", RETIRED_SPEC_KEYS)
+    def test_from_dict_rejects_retired_table_keys(self, key):
+        # Only JobStore.load drops these from a stored job.json; a new
+        # submission naming them is an error.
+        with pytest.raises(JobError, match="unknown"):
+            JobSpec.from_dict({"input": "/r.fa", key: "flat"})
 
     def test_from_dict_requires_input(self):
         with pytest.raises(JobError, match="input"):

@@ -144,3 +144,54 @@ class TestResumeAfterKill:
         )
         assert out.returncode == 2
         assert "no such job" in (out.stderr + out.stdout)
+
+
+class TestStoredJobCompat:
+    def test_job_with_retired_table_keys_resumes(self, tmp_path,
+                                                 reads_file, genomic_batch):
+        # A job stored before the hash-table options were removed: its
+        # job.json and step-2 manifests carry the three retired keys.
+        root = tmp_path / "jobs"
+        store = JobStore(root)
+        record = store.create(JobSpec(
+            input=str(reads_file), k=15, p=4, n_partitions=N_PARTITIONS,
+            n_step1_tasks=2,
+        ))
+        run_job(record)
+        retired = {"table_layout": "sharded", "insert_protocol": "lockfree",
+                   "n_shards": 4}
+        doc = json.loads(record.spec_path.read_text())
+        record.spec_path.write_text(json.dumps({**doc, **retired}))
+        for path in record.manifest_dir.glob("step2_p*.json"):
+            manifest = json.loads(path.read_text())
+            manifest["params"].update(retired)
+            path.write_text(json.dumps(manifest))
+
+        def stamps(pattern: str) -> dict[str, float]:
+            return {
+                path.stem: json.loads(path.read_text())["created"]
+                for path in record.manifest_dir.glob(pattern)
+            }
+
+        step1_before = stamps("step1_t*.json")
+        step2_before = stamps("step2_p*.json")
+        assert len(step2_before) == N_PARTITIONS
+
+        resumed = store.load(record.job_id)
+        run_job(resumed)
+        assert resumed.status == "done"
+        # Step 1 still validates; the step-2 manifests carry the old
+        # params, so every partition re-runs.
+        assert stamps("step1_t*.json") == step1_before
+        step2_after = stamps("step2_p*.json")
+        assert set(step2_after) == set(step2_before)
+        for stage, created in step2_before.items():
+            assert step2_after[stage] > created
+
+        serial = ParaHash(
+            ParaHashConfig(k=15, p=4, n_partitions=N_PARTITIONS)
+        ).build_graph(genomic_batch).graph
+        diff = compare_graphs(load_graph(resumed.graph_path), serial)
+        assert diff.n_only_a == 0
+        assert diff.n_only_b == 0
+        assert diff.n_shared > 0
