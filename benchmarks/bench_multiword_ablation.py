@@ -17,7 +17,6 @@ import time
 
 from conftest import emit_report, run_once
 
-from repro.bigk.construct import build_subgraph_2w
 from repro.core.subgraph import build_subgraph
 from repro.msp.partitioner import partition_reads
 
@@ -26,15 +25,14 @@ def test_multiword_key_overhead(benchmark, chr14_reads):
     out = {}
 
     def compute():
-        for label, k, builder in (("1-word (K=27)", 27, build_subgraph),
-                                  ("2-word (K=41)", 41, build_subgraph_2w)):
+        for label, k in (("1-word (K=27)", 27), ("2-word (K=41)", 41)):
             res = partition_reads(chr14_reads, k, 11, 32)
             start = time.perf_counter()
             ops = probes = inserts = 0
             for block in res.blocks:
                 if block.n_superkmers == 0:
                     continue
-                result = builder(block)
+                result = build_subgraph(block)
                 ops += result.stats.ops
                 probes += result.stats.probes
                 inserts += result.stats.inserts

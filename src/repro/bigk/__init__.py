@@ -1,23 +1,18 @@
-"""Big-K support: two-word (31 < K <= 63) kmers, tables and construction.
+"""Big-K support: two-word (33 <= K <= 63) kmers, table and graph store.
 
-The paper's hash entries are explicitly not limited to a machine word;
-this subpackage provides the multi-word configuration end to end — the
-two-plane kmer substrate, a concurrent hash table whose key spans two
-words (the case the state-transfer protocol exists for), and the full
-MSP + hashing pipeline for K up to 63.
+The paper's hash entries are explicitly not limited to a machine word.
+A Step-2 key is ``W`` uint64 planes — one for ``k <= 31``, two for
+``33 <= k <= 63`` — and one width-generic Step-2 path
+(:mod:`repro.core.subgraph`, :class:`repro.core.hashtable.PlaneHashTable`)
+serves both widths.  This subpackage holds what is specific to two
+planes: the ``(hi, lo)`` kmer substrate (reverse complement, canonical
+form), the key encoding of :class:`TwoWordHashTable` (the multi-word
+case the state-transfer protocol exists for), the
+:class:`BigDeBruijnGraph` store with its PHB2 files, and compaction.
 """
 
 from .compact import compact_unitigs_bigk
-from .construct import (
-    BigKSubgraphResult,
-    block_observations_2w,
-    build_debruijn_graph_bigk,
-    build_subgraph_2w,
-    build_subgraph_2w_sortmerge,
-    flat_kmers_2w,
-    merge_bigk_disjoint,
-    preaggregate_observations_2w,
-)
+from .construct import merge_bigk_disjoint
 from .kmer2w import (
     LO_BASES,
     MAX_2W_K,
@@ -33,7 +28,6 @@ from .serialize import (
     detect_graph_format,
     load_big_graph,
     save_big_graph,
-    save_big_subgraphs,
 )
 from .store import (
     BigDeBruijnGraph,
@@ -45,24 +39,16 @@ from .table import TwoWordHashTable, hash_planes, hash_planes_int
 
 __all__ = [
     "BigDeBruijnGraph",
-    "BigKSubgraphResult",
     "LO_BASES",
     "MAX_2W_K",
     "TwoWordHashTable",
-    "block_observations_2w",
-    "build_debruijn_graph_bigk",
     "build_reference_bigk_slow",
-    "build_subgraph_2w",
-    "build_subgraph_2w_sortmerge",
     "canonical2w_with_flip",
     "compact_unitigs_bigk",
     "detect_graph_format",
     "empty_bigk_graph",
-    "flat_kmers_2w",
     "load_big_graph",
-    "preaggregate_observations_2w",
     "save_big_graph",
-    "save_big_subgraphs",
     "graph_from_plane_pairs",
     "hash_planes",
     "hash_planes_int",

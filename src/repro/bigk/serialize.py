@@ -61,22 +61,6 @@ def load_big_graph(path: str | os.PathLike) -> BigDeBruijnGraph:
     return BigDeBruijnGraph(k=k, vertices_hi=hi, vertices_lo=lo, counts=counts)
 
 
-def save_big_subgraphs(out_dir: str | os.PathLike,
-                       subgraphs: list[BigDeBruijnGraph]) -> list[str]:
-    """Write each big-K subgraph to ``out_dir`` (created if missing).
-
-    The two-word twin of :func:`repro.graph.serialize.save_subgraphs`:
-    one ``subgraph_%04d.phdbg`` file per subgraph, PHB2 format.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for i, g in enumerate(subgraphs):
-        path = os.path.join(os.fspath(out_dir), f"subgraph_{i:04d}.phdbg")
-        save_big_graph(path, g)
-        paths.append(path)
-    return paths
-
-
 def detect_graph_format(path: str | os.PathLike) -> str:
     """Return ``"1w"`` / ``"2w"`` by a file's magic, or raise."""
     with open(path, "rb") as fh:

@@ -31,7 +31,7 @@ from .dna.io import load_read_batch, save_read_batch, write_fasta
 from .dna.io import SequenceRecord
 from .dna.simulate import PROFILES, DatasetProfile, genome_to_str
 from .graph.compact import compact_unitigs, compaction_stats
-from .graph.serialize import export_tsv, load_graph, save_graph
+from .graph.serialize import export_tsv, load_graph, save_any_graph
 from .hetsim.transfer import memory_cached_disk, spinning_disk
 from .hetsim.workloads import measure_workloads, simulate_parahash
 from .util.tables import render_table
@@ -191,19 +191,31 @@ def _build_config(args: argparse.Namespace, p: int) -> ParaHashConfig:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    two_word = args.k > 31
+    if two_word and args.min_multiplicity > 1:
+        print("error: --min-multiplicity is only supported for k <= 31",
+              file=sys.stderr)
+        return 2
+    if two_word and args.tsv:
+        print("error: --tsv export is only supported for k <= 31",
+              file=sys.stderr)
+        return 2
+    try:
+        config = _build_config(args, min(args.p, 31) if two_word else args.p)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reads = load_read_batch(args.input)
-    if args.k > 31:
-        return _build_bigk(args, reads)
-    config = _build_config(args, args.p)
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None
     )
     graph = result.graph
     if args.min_multiplicity > 1:
         graph = graph.filter_min_multiplicity(args.min_multiplicity)
-    n_bytes = save_graph(args.output, graph)
-    print(f"{graph.n_vertices:,} vertices "
-          f"({result.graph.n_duplicate_vertices():,} duplicates merged) "
+    n_bytes = save_any_graph(args.output, graph)
+    detail = (f"two-word keys, k={args.k}" if two_word else
+              f"{result.graph.n_duplicate_vertices():,} duplicates merged")
+    print(f"{graph.n_vertices:,} vertices ({detail}) "
           f"-> {args.output} ({n_bytes:,} bytes)")
     print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
           f"hashing {result.timings.hashing_seconds:.2f}s, "
@@ -212,33 +224,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.tsv:
         rows = export_tsv(args.tsv, graph)
         print(f"exported {rows:,} rows to {args.tsv}")
-    return 0
-
-
-def _build_bigk(args: argparse.Namespace, reads) -> int:
-    """Two-word construction path for 31 < K <= 63 (any backend)."""
-    from .bigk import save_big_graph
-
-    if args.min_multiplicity > 1:
-        print("error: --min-multiplicity is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
-    if args.tsv:
-        print("error: --tsv export is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
-    config = _build_config(args, min(args.p, 31))
-    result = ParaHash(config).build_graph(
-        reads, workdir=Path(args.workdir) if args.workdir else None
-    )
-    graph = result.graph
-    n_bytes = save_big_graph(args.output, graph)
-    print(f"{graph.n_vertices:,} vertices (two-word keys, k={args.k}) "
-          f"-> {args.output} ({n_bytes:,} bytes)")
-    print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
-          f"hashing {result.timings.hashing_seconds:.2f}s, "
-          f"IO {result.timings.io_seconds:.2f}s; "
-          f"lock reduction {100 * result.hash_stats.lock_reduction:.0f}%")
     return 0
 
 

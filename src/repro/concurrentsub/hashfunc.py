@@ -45,6 +45,28 @@ def mix64_int(value: int) -> int:
     return x
 
 
+def hash_planes(*planes: np.ndarray) -> np.ndarray:
+    """64-bit hash of keys split over W uint64 planes (vectorized).
+
+    ``h = mix64(p0)``, then ``h = mix64(p ^ (h + golden))`` for each
+    further plane; at W = 1 this is exactly :func:`mix64`, so one-word
+    probe sequences do not depend on the fold.
+    """
+    h = mix64(planes[0])
+    for plane in planes[1:]:
+        with np.errstate(over="ignore"):
+            h = mix64(np.asarray(plane, dtype=np.uint64) ^ (h + _GOLDEN))
+    return h
+
+
+def hash_planes_int(*planes: int) -> int:
+    """Scalar twin of :func:`hash_planes` (matches it bit-for-bit)."""
+    h = mix64_int(planes[0])
+    for plane in planes[1:]:
+        h = mix64_int(plane ^ ((h + _GOLDEN_INT) & _MASK64))
+    return h
+
+
 def hash_words(words: tuple[int, ...] | list[int]) -> int:
     """Hash a multi-word key by folding mixed words.
 

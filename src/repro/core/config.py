@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
+from ..dna.kmer import key_planes
 from .estimator import SizingPolicy
 
 #: Execution backends of :meth:`repro.core.parahash.ParaHash.build_graph`.
@@ -26,8 +27,9 @@ class ParaHashConfig:
     ----------
     k:
         Kmer length (vertex size).  The paper uses 27 for both datasets.
-        ``k <= 31`` packs into one word; ``31 < k <= 63`` uses the
-        split-key two-word substrate (:mod:`repro.bigk`).
+        ``k <= 31`` packs into one word; ``33 <= k <= 63`` uses the
+        split-key two-word substrate (:mod:`repro.bigk`).  ``k = 32`` is
+        rejected (see :func:`repro.dna.kmer.key_planes`).
     p:
         Minimizer length; larger P balances partitions better but
         fragments superkmers (Fig 6).  Must satisfy ``1 <= p <= k``,
@@ -87,10 +89,7 @@ class ParaHashConfig:
     insert_protocol: ClassVar[str] = "locked"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.k > 63:
-            raise ValueError("k must be <= 63 (two-word packed kmers)")
+        key_planes(self.k)  # 1..31 or 33..63, named in the error
         if not 1 <= self.p <= self.k:
             raise ValueError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
         if self.p > 31:

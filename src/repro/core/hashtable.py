@@ -19,14 +19,21 @@ Two properties make the concurrency cheap:
   instead of once per kmer instance — with duplicates ≈ 4-6x the
   distinct count, that is the paper's ~80% lock-contention reduction.
 
+A key is ``W`` uint64 planes: one for ``k <= 31``
+(:class:`ConcurrentHashTable`), two for ``33 <= k <= 63``
+(:class:`repro.bigk.table.TwoWordHashTable`, the multi-word case the
+state transfer exists for).  :class:`PlaneHashTable` holds everything
+that does not depend on the key encoding; :func:`table_class` picks the
+width from ``k``.
+
 Access paths:
 
-* :meth:`ConcurrentHashTable.insert_batch` — vectorized rounds used by
-  the benchmarks and the simulated devices; single-threaded but
+* :meth:`PlaneHashTable.insert_batch` — vectorized rounds used by every
+  build, the benchmarks and the simulated devices; single-threaded but
   *semantically identical* to the concurrent protocol, and it meters
   every probe/lock/update event into :class:`HashStats`.
-* :meth:`ConcurrentHashTable.insert_threaded` — the real state machine
-  on real Python threads (striped-lock CAS stand-ins for the hardware
+* :meth:`PlaneHashTable.insert_threaded` — the real state machine on
+  real Python threads (striped-lock CAS stand-ins for the hardware
   atomics), used to validate linearizability of the protocol.
 
 Concurrency discipline
@@ -53,12 +60,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..concurrentsub import atomics
 from ..concurrentsub.atomics import AtomicInt64Array, TracedLock
-from ..concurrentsub.hashfunc import mix64, mix64_int
+from ..concurrentsub.hashfunc import hash_planes, mix64_int
+from ..dna.kmer import key_planes
 from ..graph.dbg import MULT_SLOT, N_SLOTS, DeBruijnGraph
 from .estimator import next_power_of_two
 
@@ -200,46 +209,63 @@ class HashStats:
         )
 
 
-def _check_protocol(protocol: str, k: int) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if protocol == "lockfree" and 2 * k > 62:
-        # The lock-free claim CAS installs the biased key (kmer + 1)
-        # into a signed 64-bit atomic word, so the key must fit in 62
-        # bits.  k = 32 (the one legal width beyond this) takes the
-        # two-word table anyway.
-        raise ValueError("lockfree protocol needs 2k <= 62 (one-word keys)")
+def table_class(k: int) -> type["PlaneHashTable"]:
+    """The table class for ``k``: W = 1 or W = 2 key planes.
+
+    W comes from :func:`repro.dna.kmer.key_planes` (one plane for
+    ``k <= 31``, two for ``33 <= k <= 63``); it is never an option.
+    """
+    if key_planes(k) == 1:
+        return ConcurrentHashTable
+    from ..bigk.table import TwoWordHashTable
+
+    return TwoWordHashTable
 
 
-class ConcurrentHashTable:
-    """Fixed-capacity open-addressing table with selectable protocol.
+class PlaneHashTable:
+    """Fixed-capacity open-addressing table over W uint64 key planes.
+
+    The width-independent half of the §III-C table: construction,
+    the vectorized batch path, the threaded-mode plumbing (atomic
+    occupancy plane, counter locks, mirror re-sync) and the quiescent
+    queries.  A subclass names its key arrays in :attr:`KEY_ARRAYS` and
+    supplies what depends on the key encoding: the per-operation
+    protocols (``insert_one_threadsafe``, ``_insert_one``,
+    ``_insert_one_lockfree``), ``lookup``, the lock-free tag of an
+    occupied slot (:meth:`_published_tags`) and ``to_graph``.
 
     ``protocol="locked"`` (default) runs the paper's state-transfer
-    partial locking.  ``protocol="lockfree"`` removes the LOCKED
-    intermediate state entirely: the claim CAS installs the *biased key*
-    (``kmer + 1``, so 0 stays the EMPTY sentinel) into the atomic word —
-    claiming and publishing are one instruction, readers compare the tag
-    and never wait.  Lock-free requires one-word keys strictly below
-    ``2^63`` (``k <= 31``), which every one-word kmer satisfies.
+    partial locking; ``protocol="lockfree"`` the CAS-publish protocol
+    with no LOCKED state.  Both fill identical tables.
     """
+
+    #: Names of the key-plane arrays, most significant plane first.
+    KEY_ARRAYS: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, capacity: int, k: int, counts_dtype=np.uint32,
                  protocol: str = "locked") -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if 2 * k > 64:
-            raise ValueError(
-                "this table stores one-word (uint64) keys; need 2k <= 64"
-            )
-        _check_protocol(protocol, k)
+        self._validate(k, protocol)
         self.capacity = next_power_of_two(max(2, capacity))
         self._mask = np.uint64(self.capacity - 1)
         self.k = k
         self.state = np.zeros(self.capacity, dtype=np.int8)
-        self.keys = np.zeros(self.capacity, dtype=np.uint64)
+        for name in self.KEY_ARRAYS:
+            setattr(self, name, np.zeros(self.capacity, dtype=np.uint64))
         self.counts = np.zeros((self.capacity, N_SLOTS), dtype=counts_dtype)
         self.n_occupied = 0
         self._init_runtime(protocol)
+
+    @classmethod
+    def _validate(cls, k: int, protocol: str) -> None:
+        if protocol not in PROTOCOLS:
+            raise ValueError(
+                f"protocol must be one of {PROTOCOLS}, got {protocol!r}"
+            )
+        cls._check_k(k, protocol)
+
+    @classmethod
+    def _check_k(cls, k: int, protocol: str) -> None:
+        raise NotImplementedError
 
     def _init_runtime(self, protocol: str = "locked") -> None:
         """State shared by both constructors (stats + lazy threaded locks)."""
@@ -253,34 +279,39 @@ class ConcurrentHashTable:
         self._init_lock = threading.Lock()
 
     @classmethod
-    def from_views(cls, k: int, state: np.ndarray, keys: np.ndarray,
+    def from_views(cls, k: int, state: np.ndarray, *keys: np.ndarray,
                    counts: np.ndarray, n_occupied: int | None = None,
-                   protocol: str = "locked") -> "ConcurrentHashTable":
+                   protocol: str = "locked") -> "PlaneHashTable":
         """Construct a table over externally owned buffers (no copy).
 
         This is the pickle-free attach path of the process backend: the
-        three arrays are typically numpy views over one
-        ``multiprocessing.shared_memory`` segment (see
-        :func:`repro.parallel.shm.table_over_segment`), so a worker
-        process fills the very memory the parent later reads the graph
-        from.  The caller owns buffer lifetime — the views must outlive
-        the table.  With ``n_occupied=None`` occupancy is recounted from
-        ``state`` (attaching to a table another process filled).
+        arrays (``state``, one view per key plane, ``counts``) are
+        typically numpy views over one ``multiprocessing.shared_memory``
+        segment (see :func:`repro.parallel.shm.table_over_segment`), so
+        a worker process fills the very memory the parent later reads
+        the graph from.  The caller owns buffer lifetime — the views
+        must outlive the table.  With ``n_occupied=None`` occupancy is
+        recounted from ``state`` (attaching to a table another process
+        filled).
         """
-        if k < 1 or 2 * k > 64:
-            raise ValueError("need 1 <= k and 2k <= 64 for one-word keys")
-        _check_protocol(protocol, k)
+        cls._validate(k, protocol)
         capacity = int(state.size)
         if capacity < 2 or capacity & (capacity - 1):
             raise ValueError("state size must be a power of two >= 2")
-        if keys.shape != (capacity,) or counts.shape[0] != capacity:
+        if len(keys) != len(cls.KEY_ARRAYS):
+            raise ValueError(
+                f"need {len(cls.KEY_ARRAYS)} key plane(s), got {len(keys)}"
+            )
+        if any(plane.shape != (capacity,) for plane in keys) \
+                or counts.shape[0] != capacity:
             raise ValueError("state, keys and counts must agree on capacity")
         table = cls.__new__(cls)
         table.capacity = capacity
         table._mask = np.uint64(capacity - 1)
         table.k = k
         table.state = state
-        table.keys = keys
+        for name, plane in zip(cls.KEY_ARRAYS, keys):
+            setattr(table, name, plane)
         table.counts = counts
         table.n_occupied = (
             int((state == OCCUPIED).sum()) if n_occupied is None
@@ -294,10 +325,18 @@ class ConcurrentHashTable:
 
         Shared-memory buffers cannot unmap while numpy views alias them;
         a table attached via :meth:`from_views` must call this before
-        the owning segment is closed.  The table is unusable afterwards.
+        the owning segment is closed.  Every key plane is dropped, and
+        the table holds no other reference to one.  The table is
+        unusable afterwards.
         """
-        self.state = self.keys = self.counts = None  # type: ignore[assignment]
+        self.state = self.counts = None  # type: ignore[assignment]
+        for name in self.KEY_ARRAYS:
+            setattr(self, name, None)
         self._atomic_state = None
+
+    def _key_arrays(self) -> tuple[np.ndarray, ...]:
+        """The key planes, most significant first (a fresh tuple)."""
+        return tuple(getattr(self, name) for name in self.KEY_ARRAYS)
 
     # -- sizing ---------------------------------------------------------------
 
@@ -306,16 +345,22 @@ class ConcurrentHashTable:
         return self.n_occupied / self.capacity
 
     def memory_bytes(self) -> int:
-        return int(self.state.nbytes + self.keys.nbytes + self.counts.nbytes)
+        return int(
+            self.state.nbytes
+            + sum(plane.nbytes for plane in self._key_arrays())
+            + self.counts.nbytes
+        )
 
     # -- vectorized single-threaded path ---------------------------------------
 
-    def insert_batch(self, kmers: np.ndarray, slots: np.ndarray,
+    def insert_batch(self, *arrays: np.ndarray,
                      counts: np.ndarray | None = None,
                      chunk: int = 1 << 20) -> None:
-        """Apply ``(kmer, counter-slot)`` observations, vectorized.
+        """Apply ``(*planes, slots)`` observations, vectorized.
 
-        Each observation increments ``counts[entry(kmer), slot]``,
+        ``arrays`` holds the W key planes then the counter slots, as
+        :func:`repro.core.subgraph.block_observations` returns them.
+        Each observation increments ``counts[entry(key), slot]``,
         inserting the entry on first sight.  The outcome is identical
         to running the concurrent protocol, and stats are metered as if
         the protocol had run (one key lock per insertion, one atomic
@@ -323,7 +368,7 @@ class ConcurrentHashTable:
 
         With ``counts`` given (the pre-aggregation path of
         :func:`repro.core.subgraph.preaggregate_observations`), each
-        ``(kmer, slot)`` pair carries a multiplicity: the counter is
+        ``(key, slot)`` pair carries a multiplicity: the counter is
         bumped by ``counts[i]`` in one touch, while the stats are
         metered for the ``counts[i]`` individual observations the
         un-aggregated concurrent protocol would have executed — one op
@@ -337,19 +382,25 @@ class ConcurrentHashTable:
         directly and must never overlap :meth:`insert_threaded`.
         Raises :class:`TableFullError` when probing wraps a full table.
         """
-        kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
+        if len(arrays) != len(self.KEY_ARRAYS) + 1:
+            raise ValueError(
+                f"expected {len(self.KEY_ARRAYS)} key plane(s) and slots, "
+                f"got {len(arrays)} arrays"
+            )
+        *planes, slots = arrays
+        planes = [np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in planes]
         slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-        if kmers.shape != slots.shape:
-            raise ValueError("kmers and slots must be parallel arrays")
+        if any(p.shape != slots.shape for p in planes):
+            raise ValueError("key planes and slots must be parallel arrays")
         if counts is not None:
             counts = np.ascontiguousarray(counts, dtype=np.int64).ravel()
-            if counts.shape != kmers.shape:
-                raise ValueError("counts must parallel kmers and slots")
+            if counts.shape != slots.shape:
+                raise ValueError("counts must parallel the keys and slots")
             if counts.size and int(counts.min()) < 1:
                 raise ValueError("every aggregated count must be >= 1")
-        for lo in range(0, kmers.size, chunk):
+        for lo in range(0, slots.size, chunk):
             self._insert_chunk(
-                kmers[lo : lo + chunk], slots[lo : lo + chunk],
+                [p[lo : lo + chunk] for p in planes], slots[lo : lo + chunk],
                 None if counts is None else counts[lo : lo + chunk],
             )
         if self._atomic_state is not None:
@@ -357,14 +408,15 @@ class ConcurrentHashTable:
             # quiescent table mixes batch and threaded insertions.
             self._resync_atomic()
 
-    def _insert_chunk(self, kmers: np.ndarray, slots: np.ndarray,
+    def _insert_chunk(self, planes: list[np.ndarray], slots: np.ndarray,
                       weights: np.ndarray | None = None) -> None:
         stats = self.stats
-        n = kmers.size
+        n = slots.size
         n_ops = n if weights is None else int(weights.sum())
         stats.ops += n_ops
         stats.count_increments += n_ops
-        home = mix64(kmers) & self._mask
+        stored = self._key_arrays()
+        home = hash_planes(*planes) & self._mask
         pending = np.arange(n, dtype=np.int64)
         offset = np.zeros(n, dtype=np.uint64)
         rounds = 0
@@ -377,9 +429,10 @@ class ConcurrentHashTable:
                 )
             pos = (home[pending] + offset[pending]) & self._mask
             st = self.state[pos]
-            key_here = self.keys[pos]
             is_occ = st == OCCUPIED
-            match = is_occ & (key_here == kmers[pending])
+            match = is_occ
+            for keys_here, plane in zip(stored, planes):
+                match = match & (keys_here[pos] == plane[pending])
             if match.any():
                 rows = pos[match].astype(np.int64)
                 cols = slots[pending[match]]
@@ -403,7 +456,8 @@ class ConcurrentHashTable:
                 wpos = pos[win_idx].astype(np.int64)
                 wops = pending[win_idx]
                 self.state[wpos] = OCCUPIED
-                self.keys[wpos] = kmers[wops]
+                for keys_here, plane in zip(stored, planes):
+                    keys_here[wpos] = plane[wops]
                 if weights is None:
                     np.add.at(self.counts, (wpos, slots[wops]), 1)
                     lost = int(empty.sum()) - wpos.size
@@ -440,6 +494,24 @@ class ConcurrentHashTable:
 
     # -- threaded path ----------------------------------------------------------
 
+    def _published_tags(self, occ: np.ndarray) -> np.ndarray:
+        """Lock-free atomic words (int64) of the occupied slots ``occ``."""
+        raise NotImplementedError
+
+    def _atomic_words(self) -> np.ndarray:
+        """The numpy mirror in the atomic plane's encoding.
+
+        Occupancy flags under ``locked``; under ``lockfree`` the
+        subclass's published tag per occupied slot and 0 elsewhere.
+        Quiescent tables only.
+        """
+        if self.protocol != "lockfree":
+            return self.state
+        words = np.zeros(self.capacity, dtype=np.int64)
+        occ = self.state == OCCUPIED
+        words[occ] = self._published_tags(occ)
+        return words
+
     def _ensure_threaded(self) -> None:
         if self._atomic_state is not None:
             return
@@ -451,15 +523,141 @@ class ConcurrentHashTable:
                 return
             atomic = AtomicInt64Array(self.capacity, n_stripes=256)
             raw = atomic.raw()  # checks: allow[R3] pre-publication init under _init_lock
-            if self.protocol == "lockfree":
-                occ = self.state == OCCUPIED
-                raw[occ] = (self.keys[occ] + np.uint64(1)).astype(np.int64)
-            else:
-                raw[:] = self.state.astype(np.int64)
+            raw[:] = self._atomic_words()
             self._count_locks = [
                 TracedLock(f"count_lock[{i}]") for i in range(256)
             ]
             self._atomic_state = atomic
+
+    def _resync_atomic(self) -> None:
+        """Rebuild the authoritative atomic plane from the numpy mirror.
+
+        Only legal on a quiescent table: the batch path calls it after
+        mixing vectorized and threaded insertions.
+        """
+        assert self._atomic_state is not None
+        raw = self._atomic_state.raw()  # checks: allow[R3] single-threaded resync
+        raw[:] = self._atomic_words()
+
+    def _add_count(self, pos: int, slot: int) -> None:
+        assert self._count_locks is not None
+        with self._count_locks[pos % len(self._count_locks)]:
+            _trace("counts", id(self), pos, "write")
+            self.counts[pos, slot] += 1
+
+    def insert_threaded(self, kmers, slots: np.ndarray,
+                        n_threads: int) -> list[HashStats]:
+        """Partition the observations over real threads and run them.
+
+        ``kmers`` is a sequence of integer kmers (a uint64 array for
+        one-word keys, Python ints for wider ones).  Returns per-thread
+        stats; the aggregate is merged into ``self.stats``.  After the
+        join, the single-threaded numpy mirror of the occupancy flags
+        is re-synced from the atomic array.
+        """
+        if n_threads < 1:
+            raise ValueError("n_threads must be >= 1")
+        slots = np.asarray(slots, dtype=np.int64).ravel()
+        bounds = np.linspace(0, len(kmers), n_threads + 1).astype(int)
+        locals_ = [HashStats() for _ in range(n_threads)]
+        errors: list[BaseException] = []
+
+        def work(t: int) -> None:
+            try:
+                for i in range(bounds[t], bounds[t + 1]):
+                    self.insert_one_threadsafe(int(kmers[i]), int(slots[i]), locals_[t])
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        self._sync_mirror()
+        if errors:
+            raise errors[0]
+        with self._stats_lock:
+            _trace("stats", id(self), 0, "write")
+            for s in locals_:
+                self.stats = self.stats.merged_with(s)
+        return locals_
+
+    def _sync_mirror(self) -> None:
+        """Re-sync the single-threaded numpy mirror after a fork-join."""
+        if self._atomic_state is not None:
+            snap = self._atomic_state.snapshot()
+            if self.protocol == "lockfree":
+                # The atomic plane holds tags; any non-zero word is a
+                # published entry.
+                snap = np.where(snap != 0, OCCUPIED, EMPTY)
+            self.state[:] = snap.astype(self.state.dtype)
+
+    # -- queries ------------------------------------------------------------------
+
+    def _load_state(self, pos: int) -> int:
+        """One occupancy flag, via the atomic array while threads may run."""
+        atomic = self._atomic_state
+        if atomic is not None and "numpy_publish" not in _SEEDED_BUGS:
+            raw = atomic.load(pos)
+            if self.protocol == "lockfree":
+                # The word is a tag; occupancy is its non-zeroness.
+                return OCCUPIED if raw != EMPTY else EMPTY
+            return raw
+        _trace("state", id(self), pos, "read")
+        return int(self.state[pos])
+
+    def _state_view(self) -> np.ndarray:
+        """All occupancy flags; authoritative in either mode.
+
+        The numpy ``self.state`` array is a single-threaded mirror: it
+        is stale while worker threads run, so bulk queries go through an
+        atomic snapshot whenever the threaded machinery exists.
+        """
+        if self._atomic_state is not None:
+            snap = self._atomic_state.snapshot()
+            if self.protocol == "lockfree":
+                snap = np.where(snap != 0, OCCUPIED, EMPTY)
+            return snap.astype(np.int8)
+        return self.state
+
+    def multiplicity_histogram(self, max_mult: int = 16) -> np.ndarray:
+        """Histogram of vertex multiplicities (error-filtering diagnostics)."""
+        occ = self._state_view() == OCCUPIED
+        mult = self.counts[occ, MULT_SLOT]
+        return np.bincount(
+            np.minimum(mult, max_mult).astype(np.int64), minlength=max_mult + 1
+        )
+
+
+class ConcurrentHashTable(PlaneHashTable):
+    """The one-word table: keys are single uint64 kmers (``k <= 31``).
+
+    ``protocol="locked"`` (default) runs the paper's state-transfer
+    partial locking.  ``protocol="lockfree"`` removes the LOCKED
+    intermediate state entirely: the claim CAS installs the *biased key*
+    (``kmer + 1``, so 0 stays the EMPTY sentinel) into the atomic word —
+    claiming and publishing are one instruction, readers compare the tag
+    and never wait.  Lock-free requires one-word keys strictly below
+    ``2^63`` (``k <= 31``), which every one-word kmer satisfies.
+    """
+
+    KEY_ARRAYS = ("keys",)
+
+    @classmethod
+    def _check_k(cls, k: int, protocol: str) -> None:
+        if k < 1 or 2 * k > 64:
+            raise ValueError(
+                "this table stores one-word (uint64) keys; need 1 <= k and 2k <= 64"
+            )
+        if protocol == "lockfree" and 2 * k > 62:
+            # The lock-free claim CAS installs the biased key (kmer + 1)
+            # into a signed 64-bit atomic word, so the key must fit in 62
+            # bits.  Builds never use k = 32 (see key_planes).
+            raise ValueError("lockfree protocol needs 2k <= 62 (one-word keys)")
+
+    def _published_tags(self, occ: np.ndarray) -> np.ndarray:
+        return (self.keys[occ] + np.uint64(1)).astype(np.int64)
 
     def insert_one_threadsafe(self, kmer: int, slot: int,
                               local: "HashStats | None" = None) -> None:
@@ -626,105 +824,6 @@ class ConcurrentHashTable:
             offset += 1
             stats.probes += 1
 
-    def _add_count(self, pos: int, slot: int) -> None:
-        assert self._count_locks is not None
-        with self._count_locks[pos % len(self._count_locks)]:
-            _trace("counts", id(self), pos, "write")
-            self.counts[pos, slot] += 1
-
-    def insert_threaded(self, kmers: np.ndarray, slots: np.ndarray,
-                        n_threads: int) -> list[HashStats]:
-        """Partition the observations over real threads and run them.
-
-        Returns per-thread stats; the aggregate is merged into
-        ``self.stats``.  After the join, the single-threaded numpy
-        mirror of the occupancy flags is re-synced from the atomic
-        array.
-        """
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        kmers = np.asarray(kmers, dtype=np.uint64).ravel()
-        slots = np.asarray(slots, dtype=np.int64).ravel()
-        bounds = np.linspace(0, kmers.size, n_threads + 1).astype(int)
-        locals_ = [HashStats() for _ in range(n_threads)]
-        errors: list[BaseException] = []
-
-        def work(t: int) -> None:
-            try:
-                for i in range(bounds[t], bounds[t + 1]):
-                    self.insert_one_threadsafe(int(kmers[i]), int(slots[i]), locals_[t])
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        self._sync_mirror()
-        if errors:
-            raise errors[0]
-        with self._stats_lock:
-            _trace("stats", id(self), 0, "write")
-            for s in locals_:
-                self.stats = self.stats.merged_with(s)
-        return locals_
-
-    def _sync_mirror(self) -> None:
-        """Re-sync the single-threaded numpy mirror after a fork-join."""
-        if self._atomic_state is not None:
-            snap = self._atomic_state.snapshot()
-            if self.protocol == "lockfree":
-                # The atomic plane holds biased keys; any non-zero word
-                # is a published entry.
-                snap = np.where(snap != 0, OCCUPIED, EMPTY)
-            self.state[:] = snap.astype(self.state.dtype)
-
-    def _resync_atomic(self) -> None:
-        """Rebuild the authoritative atomic plane from the numpy mirror.
-
-        Only legal on a quiescent table: the batch path calls it after
-        mixing vectorized and threaded insertions.  The atomic word's
-        encoding is protocol-dependent — occupancy flags under
-        ``locked``, biased keys (0 = empty) under ``lockfree``.
-        """
-        assert self._atomic_state is not None
-        raw = self._atomic_state.raw()  # checks: allow[R3] single-threaded resync
-        if self.protocol == "lockfree":
-            occ = self.state == OCCUPIED
-            raw[:] = 0
-            raw[occ] = (self.keys[occ] + np.uint64(1)).astype(np.int64)
-        else:
-            raw[:] = self.state
-
-    # -- queries ------------------------------------------------------------------
-
-    def _load_state(self, pos: int) -> int:
-        """One occupancy flag, via the atomic array while threads may run."""
-        atomic = self._atomic_state
-        if atomic is not None and "numpy_publish" not in _SEEDED_BUGS:
-            raw = atomic.load(pos)
-            if self.protocol == "lockfree":
-                # The word is a biased key; occupancy is its non-zeroness.
-                return OCCUPIED if raw != EMPTY else EMPTY
-            return raw
-        _trace("state", id(self), pos, "read")
-        return int(self.state[pos])  # checks: allow[R1] single-threaded or seeded-bug mirror read (atomic path taken while threads run)
-
-    def _state_view(self) -> np.ndarray:
-        """All occupancy flags; authoritative in either mode.
-
-        The numpy ``self.state`` array is a single-threaded mirror: it
-        is stale while worker threads run, so bulk queries go through an
-        atomic snapshot whenever the threaded machinery exists.
-        """
-        if self._atomic_state is not None:
-            snap = self._atomic_state.snapshot()
-            if self.protocol == "lockfree":
-                snap = np.where(snap != 0, OCCUPIED, EMPTY)
-            return snap.astype(np.int8)
-        return self.state
-
     def lookup(self, kmer: int) -> np.ndarray | None:
         """Counter row for a kmer, or ``None`` when absent.
 
@@ -762,11 +861,3 @@ class ConcurrentHashTable:
         counts = self.counts[occ].astype(np.uint64)
         order = np.argsort(vertices)
         return DeBruijnGraph(k=self.k, vertices=vertices[order], counts=counts[order])
-
-    def multiplicity_histogram(self, max_mult: int = 16) -> np.ndarray:
-        """Histogram of vertex multiplicities (error-filtering diagnostics)."""
-        occ = self._state_view() == OCCUPIED
-        mult = self.counts[occ, MULT_SLOT]
-        return np.bincount(
-            np.minimum(mult, max_mult).astype(np.int64), minlength=max_mult + 1
-        )

@@ -20,8 +20,9 @@ from pathlib import Path
 
 from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
-from ..graph.dbg import DeBruijnGraph, empty_graph
-from ..graph.merge import merge_disjoint
+from ..graph.dbg import DeBruijnGraph
+from ..graph.merge import merge_subgraphs
+from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock
 from .config import ParaHashConfig
@@ -166,7 +167,10 @@ class ParaHash:
         steps over ``config.workers()`` threads through the §III-E
         queue; ``processes`` hands the run to the shared-memory process
         backend (:func:`repro.parallel.backend.build_graph_processes`).
-        All three produce the identical graph.
+        All three produce the identical graph, at any ``k`` of
+        :func:`repro.dna.kmer.key_planes`: Step 1 only looks at one-word
+        minimizers, and Step 2 runs the same kernels over one or two
+        key planes.
         """
         cfg = self.config
         if cfg.backend == "processes":
@@ -179,9 +183,6 @@ class ParaHash:
             threaded = ParaHash(cfg.with_(n_threads=cfg.workers()))
             return threaded.build_graph(reads, workdir=workdir,
                                         output_dir=output_dir)
-        if cfg.k > 31:
-            return self._build_graph_bigk(reads, workdir=workdir,
-                                          output_dir=output_dir)
         t0 = time.perf_counter()
         io_seconds = 0.0
         partition_bytes = 0
@@ -208,12 +209,10 @@ class ParaHash:
 
         subgraphs = [r.graph for r in subgraph_results]
         if output_dir is not None and subgraphs:
-            from ..graph.serialize import save_subgraphs
-
             t_io = time.perf_counter()
             save_subgraphs(output_dir, subgraphs)
             io_seconds += time.perf_counter() - t_io
-        graph = merge_disjoint(subgraphs) if subgraphs else empty_graph(cfg.k)
+        graph = merge_subgraphs(subgraphs, cfg.k)
         stats = HashStats()
         for r in subgraph_results:
             stats = stats.merged_with(r.stats)
@@ -233,88 +232,6 @@ class ParaHash:
             worker_records=records,
         )
 
-
-    def _build_graph_bigk(
-        self,
-        reads: ReadBatch,
-        workdir: str | Path | None = None,
-        output_dir: str | Path | None = None,
-    ) -> ParaHashResult:
-        """Big-k (k > 31) twin of :meth:`build_graph` for serial/threads.
-
-        Step 1 is unchanged — MSP only looks at one-word P-length
-        minimizers — so partitioning (in memory or through PHSK files)
-        is shared with the one-word path.  Step 2 runs the two-word
-        table (:func:`repro.bigk.construct.build_subgraph_2w`),
-        co-processed through the §III-E queue when ``n_threads > 1``.
-        The ``processes`` backend never reaches here: its driver
-        dispatches on k per partition itself.
-        """
-        from ..bigk.construct import build_subgraph_2w, merge_bigk_disjoint
-
-        cfg = self.config
-        t0 = time.perf_counter()
-        io_seconds = 0.0
-        if workdir is None:
-            blocks = self.partition(reads)
-            n_superkmers = sum(b.n_superkmers for b in blocks)
-            n_kmers = sum(b.total_kmers() for b in blocks)
-            partition_bytes = sum(b.byte_size_encoded() for b in blocks)
-        else:
-            report = partition_to_files(
-                reads, cfg.k, cfg.p, cfg.n_partitions, workdir,
-                n_input_pieces=cfg.n_input_pieces,
-            )
-            t_io = time.perf_counter()
-            blocks = load_partitions(report.paths)
-            io_seconds += time.perf_counter() - t_io
-            n_superkmers = report.n_superkmers
-            n_kmers = report.n_kmers
-            partition_bytes = report.bytes_written
-        t1 = time.perf_counter()
-
-        nonempty = [b for b in blocks if b.n_superkmers]
-
-        def process(block: SuperkmerBlock):
-            return build_subgraph_2w(block, policy=cfg.sizing,
-                                     preaggregate=cfg.preaggregate)
-
-        records: dict[str, WorkerRecord] = {}
-        if cfg.n_threads > 1 and len(nonempty) > 1:
-            workers = {f"cpu{t}": process for t in range(cfg.n_threads)}
-            subgraph_results, records = run_coprocessed(
-                nonempty, workers, size_of=lambda b: b.total_kmers()
-            )
-        else:
-            subgraph_results = [process(b) for b in nonempty]
-        t2 = time.perf_counter()
-
-        subgraphs = [r.graph for r in subgraph_results]
-        if output_dir is not None and subgraphs:
-            from ..bigk.serialize import save_big_subgraphs
-
-            t_io = time.perf_counter()
-            save_big_subgraphs(output_dir, subgraphs)
-            io_seconds += time.perf_counter() - t_io
-        graph = merge_bigk_disjoint(subgraphs, k=cfg.k)
-        stats = HashStats()
-        for r in subgraph_results:
-            stats = stats.merged_with(r.stats)
-        return ParaHashResult(
-            graph=graph,
-            subgraphs=subgraphs,
-            hash_stats=stats,
-            timings=StageTimings(
-                msp_seconds=(t1 - t0) - io_seconds,
-                hashing_seconds=t2 - t1,
-                io_seconds=io_seconds,
-            ),
-            n_superkmers=n_superkmers,
-            n_kmers=n_kmers,
-            partition_bytes=partition_bytes,
-            config=cfg,
-            worker_records=records,
-        )
 
     def build_graph_from_files(
         self,
@@ -363,10 +280,8 @@ class ParaHash:
         subgraph_results, records = self.construct_subgraphs(blocks)
         subgraphs = [r.graph for r in subgraph_results]
         if output_dir is not None and subgraphs:
-            from ..graph.serialize import save_subgraphs
-
             save_subgraphs(output_dir, subgraphs)
-        graph = merge_disjoint(subgraphs) if subgraphs else empty_graph(cfg.k)
+        graph = merge_subgraphs(subgraphs, cfg.k)
         t2 = time.perf_counter()
         stats = HashStats()
         for r in subgraph_results:
@@ -391,6 +306,10 @@ def build_debruijn_graph(
     n_partitions: int = 32,
     workdir: str | Path | None = None,
 ) -> DeBruijnGraph:
-    """One-call convenience API: reads in, De Bruijn graph out."""
+    """One-call convenience API: reads in, De Bruijn graph out.
+
+    Any ``k`` up to 63 (except 32); for ``k > 31`` the result is a
+    :class:`repro.bigk.store.BigDeBruijnGraph`.
+    """
     config = ParaHashConfig(k=k, p=p, n_partitions=n_partitions)
     return ParaHash(config).build_graph(reads, workdir=workdir).graph

@@ -34,22 +34,36 @@ from ..graph.dbg import (
 )
 from ..msp.records import SuperkmerBlock
 from .estimator import SizingPolicy, next_power_of_two
-from .hashtable import ConcurrentHashTable, HashStats, TableFullError
+from .hashtable import HashStats, TableFullError, table_class
 
 
-def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_planes(
+    planes: tuple[np.ndarray, ...], k: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Canonical key planes plus the flipped flag, for W = 1 or 2."""
+    if len(planes) == 1:
+        can, flip = canonical_with_flip(planes[0], k)
+        return (can,), flip
+    from ..bigk.kmer2w import canonical2w_with_flip
+
+    hi, lo, flip = canonical2w_with_flip(*planes, k)
+    return (hi, lo), flip
+
+
+def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, ...]:
     """All ``(canonical vertex, counter slot)`` observations of a block.
 
-    Vectorized end to end; returns parallel arrays ready for
-    :meth:`ConcurrentHashTable.insert_batch` (or, for the sort-merge
-    baselines, :func:`repro.graph.dbg.graph_from_pairs`).
+    Returns ``(*planes, slots)``: the vertex as ``W`` uint64 key planes
+    (one for ``k <= 31``, ``(hi, lo)`` for ``33 <= k <= 63``) and the
+    counter slot.  Vectorized end to end; the arrays are parallel and
+    ready for :meth:`PlaneHashTable.insert_batch` (or, for the
+    sort-merge baselines, :func:`build_subgraph_sortmerge`).
     """
     k = block.k
+    *kmer_planes, positions = block.flat_kmers()
     if block.n_superkmers == 0:
-        empty = np.zeros(0, dtype=np.uint64)
-        return empty, empty.copy()
-    kmers, positions = block.flat_kmers()
-    can, flip = canonical_with_flip(kmers, k)
+        return (*kmer_planes, np.zeros(0, dtype=np.int64))
+    can, flip = _canonical_planes(tuple(kmer_planes), k)
 
     per_sk = block.kmers_per_superkmer
     total = int(per_sk.sum())
@@ -72,61 +86,69 @@ def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
     prev_base = bases[pred_pos].astype(np.int16)
     prev_base[is_first] = block.left_ext[sk_ids[is_first]].astype(np.int16)
 
-    mult_v = can
     mult_s = np.full(total, MULT_SLOT, dtype=np.int64)
 
     has_succ = next_base >= 0
-    succ_v = can[has_succ]
     succ_s = slot_for_successor(flip[has_succ], next_base[has_succ]).astype(np.int64)
 
     has_pred = prev_base >= 0
-    pred_v = can[has_pred]
     pred_s = slot_for_predecessor(flip[has_pred], prev_base[has_pred]).astype(np.int64)
 
-    vertex_ids = np.concatenate([mult_v, succ_v, pred_v])
+    planes = tuple(
+        np.concatenate([plane, plane[has_succ], plane[has_pred]])
+        for plane in can
+    )
     slots = np.concatenate([mult_s, succ_s, pred_s])
-    return vertex_ids, slots
+    return (*planes, slots)
 
 
-def preaggregate_observations(
-    vertex_ids: np.ndarray, slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def preaggregate_observations(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Collapse duplicate ``(vertex, slot)`` observations into counts.
+
+    Takes ``(*planes, slots)`` as :func:`block_observations` returns
+    them and returns ``(*planes, slots, counts)``.
 
     The paper's inputs carry a ~4-6x kmer duplication ratio (§III-C):
     most observations re-touch a pair the table has already seen.
     Sorting and run-length encoding the observation arrays up front
     means each distinct pair pays exactly one probe walk and one
-    counter write in :meth:`ConcurrentHashTable.insert_batch`, instead
-    of one per duplicate.
+    counter write in :meth:`PlaneHashTable.insert_batch`, instead of
+    one per duplicate.
 
-    Returns parallel ``(vertices, slots, counts)`` arrays with
-    ``counts >= 1``, ordered by ``(vertex, slot)``.  Feeding them to
-    ``insert_batch(..., counts=...)`` produces a table byte-identical
-    to the un-aggregated insert, with ``HashStats`` still metered for
-    the individual observations (lock-reduction numbers stay honest).
+    The returned arrays are parallel with ``counts >= 1``, ordered by
+    ``(vertex, slot)``.  Feeding them to ``insert_batch(..., counts=...)``
+    produces a table byte-identical to the un-aggregated insert, with
+    ``HashStats`` still metered for the individual observations
+    (lock-reduction numbers stay honest).
     """
-    vertex_ids = np.ascontiguousarray(vertex_ids, dtype=np.uint64).ravel()
+    *planes, slots = arrays
+    planes = [np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in planes]
     slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if vertex_ids.shape != slots.shape:
-        raise ValueError("vertex_ids and slots must be parallel arrays")
-    if vertex_ids.size == 0:
-        return vertex_ids, slots, np.zeros(0, dtype=np.int64)
-    order = np.lexsort((slots, vertex_ids))
-    sv = vertex_ids[order]
+    if any(p.shape != slots.shape for p in planes):
+        raise ValueError("key planes and slots must be parallel arrays")
+    if slots.size == 0:
+        return (*planes, slots, np.zeros(0, dtype=np.int64))
+    order = np.lexsort((slots, *reversed(planes)))
+    sorted_ = [p[order] for p in planes]
     ss = slots[order]
-    boundary = np.empty(sv.size, dtype=bool)
+    boundary = np.empty(ss.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = (sv[1:] != sv[:-1]) | (ss[1:] != ss[:-1])
+    boundary[1:] = ss[1:] != ss[:-1]
+    for sp in sorted_:
+        boundary[1:] |= sp[1:] != sp[:-1]
     starts = np.nonzero(boundary)[0]
-    ends = np.concatenate([starts[1:], [sv.size]])
+    ends = np.concatenate([starts[1:], [ss.size]])
     counts = (ends - starts).astype(np.int64)
-    return sv[starts], ss[starts], counts
+    return (*(sp[starts] for sp in sorted_), ss[starts], counts)
 
 
 @dataclass
 class SubgraphResult:
-    """One constructed subgraph plus its construction telemetry."""
+    """One constructed subgraph plus its construction telemetry.
+
+    ``graph`` is a :class:`DeBruijnGraph` for ``k <= 31`` and a
+    :class:`repro.bigk.store.BigDeBruijnGraph` for two-word keys.
+    """
 
     graph: DeBruijnGraph
     stats: HashStats
@@ -145,9 +167,13 @@ def build_subgraph(
 ) -> SubgraphResult:
     """Construct one subgraph with the concurrent hash table.
 
+    Runs at any supported ``k``: the table holds ``W`` key planes, one
+    for ``k <= 31`` and two for ``33 <= k <= 63``
+    (:func:`repro.core.hashtable.table_class`).
+
     ``n_threads == 1`` uses the vectorized batch path; more threads run
     the real per-operation state machine concurrently (slow; meant for
-    correctness validation, not throughput).
+    correctness validation, not throughput, and one-word keys only).
 
     ``preaggregate`` (batch path only) collapses duplicate
     ``(vertex, slot)`` observations via
@@ -164,21 +190,24 @@ def build_subgraph(
     ``allow_regrow=False`` the overflow raises
     :class:`repro.core.hashtable.TableFullError` instead.
     """
+    if n_threads > 1 and block.k > 31:
+        raise ValueError("the threaded build path needs one-word keys (k <= 31)")
     policy = policy or SizingPolicy()
+    table_cls = table_class(block.k)
     n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
-    vertex_ids, slots = block_observations(block)
+    *planes, slots = block_observations(block)
     counts = None
     if preaggregate and n_threads == 1:
-        vertex_ids, slots, counts = preaggregate_observations(vertex_ids, slots)
+        *planes, slots, counts = preaggregate_observations(*planes, slots)
     n_regrows = 0
     while True:
-        table = ConcurrentHashTable(capacity, block.k)
+        table = table_cls(capacity, block.k)
         try:
             if n_threads == 1:
-                table.insert_batch(vertex_ids, slots, counts=counts)
+                table.insert_batch(*planes, slots, counts=counts)
             else:
-                table.insert_threaded(vertex_ids, slots, n_threads)
+                table.insert_threaded(planes[0], slots, n_threads)
             break
         except TableFullError:
             if not allow_regrow:
@@ -199,10 +228,15 @@ def build_subgraph(
     )
 
 
-def build_subgraph_sortmerge(block: SuperkmerBlock) -> DeBruijnGraph:
+def build_subgraph_sortmerge(block: SuperkmerBlock):
     """Sort-merge construction of the same subgraph (§II-B's alternative).
 
-    Used by baselines and as an independent oracle for the hash path.
+    Used by baselines and as an independent oracle for the hash path,
+    at either key width.
     """
-    vertex_ids, slots = block_observations(block)
-    return graph_from_pairs(block.k, vertex_ids, slots)
+    *planes, slots = block_observations(block)
+    if len(planes) == 1:
+        return graph_from_pairs(block.k, planes[0], slots)
+    from ..bigk.store import graph_from_plane_pairs
+
+    return graph_from_plane_pairs(block.k, *planes, slots)

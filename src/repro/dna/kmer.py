@@ -25,6 +25,8 @@ from .encoding import int_to_codes
 
 #: Largest K supported by the vectorized uint64 representation.
 MAX_U64_K = 31
+#: Bases one uint64 word holds.
+_WORD_BASES = 32
 
 # Lookup table: byte value -> byte with its four 2-bit fields reversed.
 # Used to reverse the base order of a packed uint64 kmer.
@@ -44,6 +46,34 @@ def kmer_mask(k: int) -> int:
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+
+
+def key_planes(k: int) -> int:
+    """W, the number of uint64 planes a Step-2 key of length ``k`` spans.
+
+    W = 1 for ``k <= 31`` and W = 2 for ``33 <= k <= 63``.  ``k = 32``
+    is rejected: a one-word lock-free tag needs ``2k <= 62`` bits and a
+    two-word key needs a non-empty high plane.
+    """
+    if 1 <= k <= MAX_U64_K:
+        return 1
+    if _WORD_BASES < k <= 2 * _WORD_BASES - 1:
+        return 2
+    raise ValueError(
+        f"k must be in 1..{MAX_U64_K} (one-word keys) or "
+        f"{_WORD_BASES + 1}..{2 * _WORD_BASES - 1} (two-word keys), got {k}"
+    )
+
+
+def key_plane_bases(k: int) -> tuple[int, ...]:
+    """Bases held by each key plane, most significant plane first.
+
+    The last plane holds the 32 rightmost bases of a two-word key and
+    the first one the ``k - 32`` leftmost (:mod:`repro.bigk.kmer2w`).
+    """
+    if key_planes(k) == 1:
+        return (k,)
+    return (k - _WORD_BASES, _WORD_BASES)
 
 
 def _check_u64_k(k: int) -> None:

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..dna.kmer import key_planes
 from .dbg import N_SLOTS, DeBruijnGraph, empty_graph
 
 
@@ -43,6 +44,21 @@ def merge_disjoint(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:
             "MSP partitions must be vertex-disjoint"
         )
     return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+
+
+def merge_subgraphs(subgraphs: Sequence, k: int):
+    """Union of one build's vertex-disjoint subgraphs, at either key width.
+
+    One-word graphs (``k <= 31``) merge through :func:`merge_disjoint`,
+    two-word ones through :func:`repro.bigk.construct.merge_bigk_disjoint`;
+    a merge of no (or only empty) subgraphs is the empty graph of ``k``.
+    """
+    if key_planes(k) > 1:
+        from ..bigk.construct import merge_bigk_disjoint
+
+        return merge_bigk_disjoint(list(subgraphs), k=k)
+    nonempty = [g for g in subgraphs if g.n_vertices]
+    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
 
 
 def merge_adding(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..dna.alphabet import encode
 from ..dna.encoding import codes_to_int
+from ..dna.kmer import key_planes
 from .dbg import N_SLOTS, DeBruijnGraph
 
 MAGIC = b"PHDB"
@@ -118,20 +119,45 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
     return DeBruijnGraph(k=k, vertices=vertices_arr, counts=counts_arr)
 
 
-def save_subgraphs(
-    out_dir: str | os.PathLike, subgraphs: list[DeBruijnGraph]
-) -> list[Path]:
-    """Write one binary file per subgraph (the Step 2 output stage)."""
+def save_any_graph(path: str | os.PathLike, graph) -> int:
+    """Write a graph in the binary format of its key width.
+
+    ``.phdbg`` (PHDB) for one-word keys, PHB2
+    (:func:`repro.bigk.serialize.save_big_graph`) for two-word keys;
+    returns bytes written.
+    """
+    if key_planes(graph.k) > 1:
+        from ..bigk.serialize import save_big_graph
+
+        return save_big_graph(path, graph)
+    return save_graph(path, graph)
+
+
+def load_any_graph(path: str | os.PathLike):
+    """Read a graph file of either key width, picked by its magic."""
+    from ..bigk.serialize import detect_graph_format, load_big_graph
+
+    if detect_graph_format(path) == "2w":
+        return load_big_graph(path)
+    return load_graph(path)
+
+
+def save_subgraphs(out_dir: str | os.PathLike, subgraphs: list) -> list[Path]:
+    """Write one binary file per subgraph (the Step 2 output stage).
+
+    Files are ``subgraph_NNNN.phdbg`` in the format of the graphs' key
+    width (:func:`save_any_graph`).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, graph in enumerate(subgraphs):
         path = out / f"subgraph_{i:04d}.phdbg"
-        save_graph(path, graph)
+        save_any_graph(path, graph)
         paths.append(path)
     return paths
 
 
-def load_subgraphs(paths: list[Path] | list[str]) -> list[DeBruijnGraph]:
-    """Read subgraph files back (e.g. to merge them)."""
-    return [load_graph(p) for p in paths]
+def load_subgraphs(paths: list[Path] | list[str]) -> list:
+    """Read subgraph files of either key width back (e.g. to merge them)."""
+    return [load_any_graph(p) for p in paths]

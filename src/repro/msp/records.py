@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dna.alphabet import decode
-from ..dna.kmer import kmer_mask
+from ..dna.kmer import key_plane_bases, kmer_mask
 
 #: Extension sentinel: the superkmer touches the read boundary.
 NO_EXT = -1
@@ -125,18 +125,22 @@ class SuperkmerBlock:
 
     # -- kmer generation --------------------------------------------------------
 
-    def flat_kmers(self) -> tuple[np.ndarray, np.ndarray]:
+    def flat_kmers(self) -> tuple[np.ndarray, ...]:
         """All kmers of the block with their flat base positions.
 
-        Returns ``(kmers, positions)`` where ``kmers[i]`` is the packed
-        uint64 kmer starting at ``bases[positions[i]]``.  Kmers never
-        span superkmer boundaries.  Vectorized as a k-tap shifted-add
-        over the flat base array (no per-superkmer Python loop).
+        Returns ``(*planes, positions)``: ``W`` uint64 key planes (one
+        for ``k <= 31``, the ``(hi, lo)`` pair for ``33 <= k <= 63``;
+        see :func:`repro.dna.kmer.key_plane_bases`) where the planes'
+        ``i``-th entries pack the kmer starting at
+        ``bases[positions[i]]``.  Kmers never span superkmer
+        boundaries.  Vectorized as a k-tap shifted-add per plane over
+        the flat base array (no per-superkmer Python loop).
         """
         k = self.k
+        widths = key_plane_bases(k)
         if self.n_superkmers == 0:
-            empty = np.zeros(0, dtype=np.uint64)
-            return empty, np.zeros(0, dtype=np.int64)
+            empty = [np.zeros(0, dtype=np.uint64) for _ in widths]
+            return (*empty, np.zeros(0, dtype=np.int64))
         per_sk = self.kmers_per_superkmer
         total = int(per_sk.sum())
         # positions of every valid kmer start, grouped by superkmer
@@ -145,14 +149,20 @@ class SuperkmerBlock:
             np.concatenate(([0], np.cumsum(per_sk)[:-1])), per_sk
         )
         positions = starts + ramp
-        # k-tap evaluation over the flat array: kmer[i] = sum b[i+j] << 2(k-1-j)
+        # k-tap evaluation over the flat array, one plane at a time:
+        # plane[i] = sum b[i+first+j] << 2(width-1-j)
         t = self.bases.size
         flat = self.bases.astype(np.uint64)
-        values = np.zeros(t - k + 1, dtype=np.uint64)
-        for j in range(k):
-            shift = np.uint64(2 * (k - 1 - j))
-            values |= flat[j : t - k + 1 + j] << shift
-        return values[positions], positions
+        planes = []
+        first = 0
+        for width in widths:
+            values = np.zeros(t - k + 1, dtype=np.uint64)
+            for j in range(width):
+                shift = np.uint64(2 * (width - 1 - j))
+                values |= flat[first + j : t - k + 1 + first + j] << shift
+            planes.append(values[positions])
+            first += width
+        return (*planes, positions)
 
     def packed_mask(self) -> int:
         return kmer_mask(self.k)

@@ -6,8 +6,7 @@ Public surface:
   fan-out + Step 2 shared-memory tables across worker processes);
 * :func:`concurrent_insert_processes` — several processes running the
   state-transfer protocol against *one* shared table (protocol
-  validation on genuinely concurrent memory), with
-  :func:`concurrent_insert_processes_2w` as its split-key big-k twin;
+  validation on genuinely concurrent memory), at either key width;
 * the shared-memory and pool primitives the backend is built from.
 """
 
@@ -15,7 +14,6 @@ from .atomics_mp import ProcessAtomicInt64Array, create_lock_bundle
 from .backend import (
     build_graph_processes,
     concurrent_insert_processes,
-    concurrent_insert_processes_2w,
 )
 from .pool import (
     PoolInterrupted,
@@ -43,7 +41,6 @@ __all__ = [
     "attach_segment",
     "build_graph_processes",
     "concurrent_insert_processes",
-    "concurrent_insert_processes_2w",
     "create_lock_bundle",
     "create_segment",
     "create_table_segment",

@@ -42,12 +42,10 @@ the *same* table's occupancy flags through
 what validates that the state-transfer protocol is sound on genuinely
 concurrent memory, not merely under the GIL.
 
-Both drivers and the CAS validation path run at any ``k <= 63``: for
-``k > 31`` the table segments carry the split-key two-word planes
-(``keys_hi``/``keys_lo``), Step 2 runs the :mod:`repro.bigk` kernels,
-and :func:`concurrent_insert_processes_2w` exercises the multi-word
-publish (both key words written inside the LOCKED window) across
-processes.
+Both drivers and the CAS validation path run at any supported k: the
+table segments carry the W key planes of :func:`repro.dna.kmer.key_planes`
+(``keys`` for ``k <= 31``, the split-key ``keys_hi``/``keys_lo`` for
+``33 <= k <= 63``) and one Step-2 job function serves both widths.
 """
 
 from __future__ import annotations
@@ -67,9 +65,10 @@ from ..concurrentsub.workqueue import (
 )
 from ..core.estimator import next_power_of_two
 from ..core.hashtable import HashStats, TableFullError
+from ..dna.kmer import key_planes
 from ..dna.reads import ReadBatch
-from ..graph.dbg import DeBruijnGraph, empty_graph
-from ..graph.merge import merge_disjoint
+from ..graph.merge import merge_subgraphs
+from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import (
     SpillWriterSet,
     load_partition_group,
@@ -155,10 +154,10 @@ def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
 def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
     """Fill one partition's shared table in place; returns its payload.
 
-    Width-agnostic: ``table_over_segment`` hands back the one- or
-    two-word table per ``job.k``, and the observation kernels are
-    selected to match — the payload protocol (stats + optional
-    fallback graph) is identical either way.
+    Width-agnostic: ``table_over_segment`` hands back the table over
+    the segment's W key planes for ``job.k``, and the observation
+    kernels emit the same W planes.  The payload (stats + optional
+    fallback graph) is identical at both widths.
     """
     from ..core.subgraph import (
         block_observations,
@@ -166,21 +165,17 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
         preaggregate_observations,
     )
 
-    if job.k > 31:
-        return _process_step2_job_2w(job, sizing, preaggregate)
     block = load_partition_group([Path(s) for s in job.group], job.k)
     payload: dict = {"partition": job.partition,
                      "n_kmers": block.total_kmers()}
     seg = attach_segment(job.table_spec)
     table = table_over_segment(seg, job.k, fresh=True)
     try:
-        vertex_ids, slots = block_observations(block)
+        *planes, slots = block_observations(block)
         counts = None
         if preaggregate:
-            vertex_ids, slots, counts = preaggregate_observations(
-                vertex_ids, slots
-            )
-        table.insert_batch(vertex_ids, slots, counts=counts)
+            *planes, slots, counts = preaggregate_observations(*planes, slots)
+        table.insert_batch(*planes, slots, counts=counts)
         seg["header"][HEADER_N_OCCUPIED] = table.n_occupied
         payload["stats"] = table.stats
         payload["fallback"] = None
@@ -189,48 +184,6 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
         # the (rare) oversized result through the queue instead.
         result = build_subgraph(block, policy=sizing, n_threads=1,
                                 preaggregate=preaggregate)
-        payload["stats"] = result.stats
-        payload["fallback"] = result.graph
-    finally:
-        table.detach_views()
-        seg.close()
-    return payload
-
-
-def _process_step2_job_2w(job: _Step2Job, sizing, preaggregate: bool) -> dict:
-    """Big-k (k > 31) twin of :func:`_process_step2_job`.
-
-    Same shared-table-in-place protocol, with the split-key kernels:
-    observations come from :func:`block_observations_2w`, duplicates
-    pre-aggregate over ``(hi, lo, slot)`` triples, and the
-    ``TableFullError`` fallback regrows through
-    :func:`build_subgraph_2w` locally.
-    """
-    from ..bigk.construct import (
-        block_observations_2w,
-        build_subgraph_2w,
-        preaggregate_observations_2w,
-    )
-
-    block = load_partition_group([Path(s) for s in job.group], job.k)
-    payload: dict = {"partition": job.partition,
-                     "n_kmers": block.total_kmers()}
-    seg = attach_segment(job.table_spec)
-    table = table_over_segment(seg, job.k, fresh=True)
-    try:
-        hi, lo, slots = block_observations_2w(block)
-        counts = None
-        if preaggregate:
-            hi, lo, slots, counts = preaggregate_observations_2w(
-                hi, lo, slots
-            )
-        table.insert_batch(hi, lo, slots, counts=counts)
-        seg["header"][HEADER_N_OCCUPIED] = table.n_occupied
-        payload["stats"] = table.stats
-        payload["fallback"] = None
-    except TableFullError:
-        result = build_subgraph_2w(block, policy=sizing,
-                                   preaggregate=preaggregate)
         payload["stats"] = result.stats
         payload["fallback"] = result.graph
     finally:
@@ -281,28 +234,6 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
         for job in jobs:
             out.append(_process_step2_job(job, sizing, preaggregate))
     return {"step2": out}
-
-
-def _merge_partition_subgraphs(subgraphs, k: int):
-    """Union the per-partition subgraphs, one- or two-word per ``k``."""
-    if k > 31:
-        from ..bigk.construct import merge_bigk_disjoint
-
-        return merge_bigk_disjoint(subgraphs, k=k)
-    nonempty = [g for g in subgraphs if g.n_vertices]
-    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
-
-
-def _save_partition_subgraphs(output_dir, subgraphs, k: int) -> None:
-    """Write subgraph files in the format matching the key width."""
-    if k > 31:
-        from ..bigk.serialize import save_big_subgraphs
-
-        save_big_subgraphs(output_dir, subgraphs)
-    else:
-        from ..graph.serialize import save_subgraphs
-
-        save_subgraphs(output_dir, subgraphs)
 
 
 # -- the driver ------------------------------------------------------------------
@@ -567,7 +498,7 @@ def build_graph_processes(
         ]
         segments = {}
         payload_lists: list[list[dict]] = []
-        subgraphs: list[DeBruijnGraph] = []
+        subgraphs: list = []
         stats = HashStats()
         try:
             jobs: list[_Step2Job] = []
@@ -611,10 +542,10 @@ def build_graph_processes(
 
         if output_dir is not None and subgraphs:
             t_io = time.perf_counter()
-            _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
+            save_subgraphs(output_dir, subgraphs)
             io_seconds += time.perf_counter() - t_io
 
-        graph = _merge_partition_subgraphs(subgraphs, cfg.k)
+        graph = merge_subgraphs(subgraphs, cfg.k)
         return ParaHashResult(
             graph=graph,
             subgraphs=subgraphs,
@@ -684,7 +615,7 @@ def _build_pipelined(
             raise RuntimeError(
                 f"partitions {missing} were published but never hashed"
             )
-        subgraphs: list[DeBruijnGraph] = []
+        subgraphs: list = []
         stats = HashStats()
         for part in merger.live:
             payload = by_partition[part]
@@ -704,11 +635,11 @@ def _build_pipelined(
     io_seconds = merger.io_seconds
     if output_dir is not None and subgraphs:
         t_io = time.perf_counter()
-        _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
+        save_subgraphs(output_dir, subgraphs)
         io_seconds += time.perf_counter() - t_io
 
     spills_done = merger.spills_done_at or t2
-    graph = _merge_partition_subgraphs(subgraphs, cfg.k)
+    graph = merge_subgraphs(subgraphs, cfg.k)
     step1_reports = [merger.reports[w] for w in sorted(merger.reports)]
     return ParaHashResult(
         graph=graph,
@@ -765,30 +696,39 @@ def _publish_final_state(table_seg, flags_seg) -> None:
 
 
 def concurrent_insert_processes(
-    kmers: np.ndarray,
-    slots: np.ndarray,
+    *arrays: np.ndarray,
     k: int,
     capacity: int,
     n_workers: int,
     n_stripes: int = 64,
     protocol: str = "locked",
-) -> tuple[DeBruijnGraph, list[HashStats]]:
-    """Insert observations into ONE table from several processes.
+):
+    """Insert ``(*planes, slots)`` observations into ONE table from several processes.
 
     This is the insert protocol on genuinely concurrent memory: every
     worker runs the per-operation state machine — CAS EMPTY→LOCKED /
     write-key / publish-OCCUPIED under ``protocol="locked"``, or the
     single CAS-publish under ``protocol="lockfree"`` — against the same
-    shared-memory occupancy plane.  Returns the resulting subgraph and
-    the per-worker stats.  Used by the
-    equivalence tests (the outcome must match a serial
-    ``insert_batch``); the production pipeline instead gives each
-    partition to exactly one process, as the paper does per subgraph.
+    shared-memory occupancy plane.  For two-word keys (``k > 31``) both
+    key words are written inside the claim window (the multi-word case
+    the state-transfer protocol exists for).  ``arrays`` holds the
+    ``W`` key planes for ``k`` then the slots.  Returns the resulting
+    subgraph and the per-worker stats.  Used by the equivalence tests
+    (the outcome must match a serial ``insert_batch``); the production
+    pipeline instead gives each partition to exactly one process, as
+    the paper does per subgraph.
     """
-    kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
+    n_planes = key_planes(k)
+    if len(arrays) != n_planes + 1:
+        raise ValueError(
+            f"k={k} needs {n_planes} key plane(s) and slots, "
+            f"got {len(arrays)} arrays"
+        )
+    *planes, slots = arrays
+    planes = [np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in planes]
     slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if kmers.shape != slots.shape:
-        raise ValueError("kmers and slots must be parallel arrays")
+    if any(p.shape != slots.shape for p in planes):
+        raise ValueError("key planes and slots must be parallel arrays")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     ctx = default_context()
@@ -801,11 +741,11 @@ def concurrent_insert_processes(
             create_segment([("flags", (cap,), "int64")]) as flags_seg:
         state_locks = create_lock_bundle(ctx, n_stripes)
         count_locks = create_lock_bundle(ctx, n_stripes)
-        bounds = np.linspace(0, kmers.size, n_workers + 1).astype(int).tolist()
+        bounds = np.linspace(0, slots.size, n_workers + 1).astype(int).tolist()
         stats = run_workers(
             _cas_worker, n_workers, ctx=ctx,
             args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
-                  kmers, slots, bounds, k, protocol),
+                  planes, slots, bounds, k, protocol),
         )
         # Publish the final flags into the table's int8 mirror, then
         # read the graph straight out of shared memory.
@@ -819,7 +759,7 @@ def concurrent_insert_processes(
 
 def _cas_worker(worker_id: int, table_spec: SegmentSpec,
                 flags_spec: SegmentSpec, state_locks, count_locks,
-                kmers: np.ndarray, slots: np.ndarray,
+                planes: list[np.ndarray], slots: np.ndarray,
                 bounds: list[int], k: int, protocol: str) -> HashStats:
     """One process of the cross-process state-machine run."""
     seg = attach_segment(table_spec)
@@ -836,84 +776,11 @@ def _cas_worker(worker_id: int, table_spec: SegmentSpec,
     b0, b1 = bounds[worker_id], bounds[worker_id + 1]
     try:
         for i in range(b0, b1):
-            table.insert_one_threadsafe(int(kmers[i]), int(slots[i]), local)
-    finally:
-        table.detach_views()
-        seg.close()
-        flags_seg.close()
-    return local
-
-
-def concurrent_insert_processes_2w(
-    hi: np.ndarray,
-    lo: np.ndarray,
-    slots: np.ndarray,
-    k: int,
-    capacity: int,
-    n_workers: int,
-    n_stripes: int = 64,
-    protocol: str = "locked",
-):
-    """Two-word twin of :func:`concurrent_insert_processes` (k > 31).
-
-    Several processes CAS the same occupancy plane and publish BOTH key
-    words (``keys_hi`` then ``keys_lo``) — inside the LOCKED window
-    under ``protocol="locked"`` (the multi-word case the state-transfer
-    protocol exists for; paper §III, multi-word ablation), or between
-    the claim CAS and the publication-bit store under
-    ``protocol="lockfree"``.  Returns the resulting
-    :class:`~repro.bigk.store.BigDeBruijnGraph` and per-worker stats.
-    """
-    hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
-    lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
-    slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if not (hi.shape == lo.shape == slots.shape):
-        raise ValueError("hi, lo and slots must be parallel arrays")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if k <= 31:
-        raise ValueError("use concurrent_insert_processes for k <= 31")
-    ctx = default_context()
-    cap = next_power_of_two(max(2, capacity))
-    # Same ownership discipline as the one-word path: each `with` owns
-    # its segment from creation, so a failed lock-bundle build still
-    # unlinks everything (no shm leak on partially-constructed runs).
-    with create_table_segment(cap, k) as table_seg, \
-            create_segment([("flags", (cap,), "int64")]) as flags_seg:
-        state_locks = create_lock_bundle(ctx, n_stripes)
-        count_locks = create_lock_bundle(ctx, n_stripes)
-        bounds = np.linspace(0, hi.size, n_workers + 1).astype(int).tolist()
-        stats = run_workers(
-            _cas_worker_2w, n_workers, ctx=ctx,
-            args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
-                  hi, lo, slots, bounds, k, protocol),
-        )
-        _publish_final_state(table_seg, flags_seg)
-        table = table_over_segment(table_seg, k, fresh=False,
-                                   protocol=protocol)
-        graph = table.to_graph()
-        table.detach_views()
-        return graph, stats
-
-
-def _cas_worker_2w(worker_id: int, table_spec: SegmentSpec,
-                   flags_spec: SegmentSpec, state_locks, count_locks,
-                   hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
-                   bounds: list[int], k: int, protocol: str) -> HashStats:
-    """One process of the two-word cross-process state-machine run."""
-    from ..bigk.kmer2w import join_planes
-
-    seg = attach_segment(table_spec)
-    flags_seg = attach_segment(flags_spec)
-    table = table_over_segment(seg, k, fresh=True, protocol=protocol)
-    table._atomic_state = ProcessAtomicInt64Array(flags_seg["flags"],
-                                                  state_locks)
-    table._count_locks = list(count_locks)
-    local = HashStats()
-    b0, b1 = bounds[worker_id], bounds[worker_id + 1]
-    try:
-        for i in range(b0, b1):
-            kmer = join_planes(hi[i], lo[i])
+            # The per-op protocol takes the kmer as one integer: fold
+            # the planes back, most significant first, 64 bits apiece.
+            kmer = 0
+            for plane in planes:
+                kmer = (kmer << 64) | int(plane[i])
             table.insert_one_threadsafe(kmer, int(slots[i]), local)
     finally:
         table.detach_views()

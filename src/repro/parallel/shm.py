@@ -210,32 +210,20 @@ def create_table_segment(capacity: int, k: int) -> SharedSegment:
     filling worker patches (``n_occupied``).  ``capacity`` must already
     be the table's true (power-of-two) capacity.
 
-    For ``k <= 31`` the layout backs a
-    :class:`~repro.core.hashtable.ConcurrentHashTable` (one ``keys``
-    plane); for ``k > 31`` it is the split-key two-word layout of
-    :class:`~repro.bigk.table.TwoWordHashTable` — ``keys_hi`` and
-    ``keys_lo`` uint64 planes holding the ``k - 32`` leftmost and 32
-    rightmost bases.  Either way :func:`table_over_segment` rebuilds
-    the matching table over the views, so backend call sites stay
-    width-agnostic.
+    The key planes are the ones of :func:`repro.core.hashtable.table_class`
+    for ``k``: one ``keys`` plane for ``k <= 31``, the split-key
+    ``keys_hi``/``keys_lo`` planes (the ``k - 32`` leftmost and 32
+    rightmost bases) for ``33 <= k <= 63``.  :func:`table_over_segment`
+    rebuilds the matching table over the views, so backend call sites
+    stay width-agnostic.
     """
+    from ..core.hashtable import table_class
     from ..graph.dbg import N_SLOTS
 
-    if k > 31:
-        from ..bigk.kmer2w import check_2w_k
-
-        check_2w_k(k)
-        return create_segment([
-            ("header", (_HEADER_LEN,), "int64"),
-            ("state", (capacity,), "int8"),
-            ("keys_hi", (capacity,), "uint64"),
-            ("keys_lo", (capacity,), "uint64"),
-            ("counts", (capacity, N_SLOTS), "uint32"),
-        ])
     return create_segment([
         ("header", (_HEADER_LEN,), "int64"),
         ("state", (capacity,), "int8"),
-        ("keys", (capacity,), "uint64"),
+        *((name, (capacity,), "uint64") for name in table_class(k).KEY_ARRAYS),
         ("counts", (capacity, N_SLOTS), "uint32"),
     ])
 
@@ -244,29 +232,21 @@ def table_over_segment(seg: SharedSegment, k: int, fresh: bool = False,
                        protocol: str = "locked"):
     """A hash table whose arrays are the segment's views (zero-copy).
 
-    Returns a :class:`~repro.core.hashtable.ConcurrentHashTable` over a
-    one-word segment or a :class:`~repro.bigk.table.TwoWordHashTable`
-    over a two-word one, keyed off ``k`` — which must match the layout
-    the segment was created with.  ``protocol`` selects the per-slot
-    insert protocol (the cross-process harness of
-    :func:`repro.parallel.backend.concurrent_insert_processes`).
+    Returns the :func:`repro.core.hashtable.table_class` table for
+    ``k`` — which must match the layout the segment was created with.
+    ``protocol`` selects the per-slot insert protocol (the cross-process
+    harness of :func:`repro.parallel.backend.concurrent_insert_processes`).
 
     With ``fresh=True`` the segment is assumed zero-filled (a new table);
     otherwise occupancy is recounted from the ``state`` array, so a
     parent can attach *after* a worker filled the table and read the
     result without any copy.
     """
-    if k > 31:
-        from ..bigk.table import TwoWordHashTable
+    from ..core.hashtable import table_class
 
-        return TwoWordHashTable.from_views(
-            k=k, state=seg["state"], keys_hi=seg["keys_hi"],
-            keys_lo=seg["keys_lo"], counts=seg["counts"],
-            n_occupied=0 if fresh else None, protocol=protocol,
-        )
-    from ..core.hashtable import ConcurrentHashTable
-
-    return ConcurrentHashTable.from_views(
-        k=k, state=seg["state"], keys=seg["keys"], counts=seg["counts"],
-        n_occupied=0 if fresh else None, protocol=protocol,
+    cls = table_class(k)
+    return cls.from_views(
+        k, seg["state"], *(seg[name] for name in cls.KEY_ARRAYS),
+        counts=seg["counts"], n_occupied=0 if fresh else None,
+        protocol=protocol,
     )

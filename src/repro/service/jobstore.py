@@ -29,6 +29,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from ..dna.kmer import key_planes
 from ..util.bytesize import human2bytes
 from .manifest import read_json, write_json_atomic
 
@@ -36,8 +37,6 @@ from .manifest import read_json, write_json_atomic
 #: a crashed/killed job is found as ``running`` with a dead owner and is
 #: resumable.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-MAX_K_2W = 63  # two-word big-k ceiling (repro.bigk)
 
 #: Keys older ``job.json`` files carry for hash-table options that no
 #: longer exist.  Every value they could hold built the same graph, so
@@ -77,8 +76,10 @@ class JobSpec:
     alpha: float = 0.7
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_K_2W:
-            raise JobError(f"need 1 <= k <= {MAX_K_2W}, got k={self.k}")
+        try:
+            key_planes(self.k)
+        except ValueError as exc:
+            raise JobError(str(exc)) from None
         if not 1 <= self.p <= self.k:
             raise JobError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
         if self.n_partitions < 1:
@@ -94,8 +95,8 @@ class JobSpec:
 
     @property
     def big_k(self) -> bool:
-        """Does this job take the two-word (31 < k <= 63) path?"""
-        return self.k > 31
+        """Are this job's keys two-word (33 <= k <= 63)?"""
+        return key_planes(self.k) > 1
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -257,18 +257,11 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
 def _merge_and_save(subgraph_files: list[Path], k: int,
                     graph_path: Path) -> int:
     """Union the per-partition subgraphs and publish the final graph."""
+    from ..graph.merge import merge_subgraphs
+    from ..graph.serialize import load_subgraphs, save_any_graph
+
     tmp = graph_path.with_name(graph_path.name + ".tmp")
-    if k > 31:
-        from ..bigk import merge_bigk_disjoint
-        from ..bigk.serialize import load_big_graph, save_big_graph
-        merged = merge_bigk_disjoint(
-            [load_big_graph(p) for p in subgraph_files], k=k
-        )
-        n_bytes = save_big_graph(tmp, merged)
-    else:
-        from ..graph.merge import merge_disjoint
-        from ..graph.serialize import load_graph, save_graph
-        merged = merge_disjoint([load_graph(p) for p in subgraph_files])
-        n_bytes = save_graph(tmp, merged)
+    merged = merge_subgraphs(load_subgraphs(subgraph_files), k)
+    n_bytes = save_any_graph(tmp, merged)
     atomic_replace(tmp, graph_path)
     return n_bytes

@@ -20,8 +20,8 @@ Task kinds
            partial spills.
 
 ``step2``  one merged partition file -> one subgraph ``.phdbg`` file.
-           Builds the partition's hash table (one- or two-word by k)
-           and saves the subgraph atomically.  ``delay`` sleeps first —
+           Builds the partition's hash table (one or two key planes by
+           k) and saves the subgraph atomically.  ``delay`` sleeps first —
            the fault-injection window tests SIGKILL into.
 
 The merge between the two (spills -> canonical partition files) and the
@@ -38,6 +38,7 @@ from pathlib import Path
 from ..core.estimator import SizingPolicy
 from ..core.subgraph import build_subgraph
 from ..dna.io import load_read_batch
+from ..graph.serialize import save_any_graph
 from ..msp.partitioner import SpillWriterSet, load_partition_group, partition_reads
 
 
@@ -99,17 +100,9 @@ def _run_step2(task: dict) -> dict:
                           alpha=float(task.get("alpha", 0.7)))
     preaggregate = bool(task.get("preaggregate", False))
     out_path = Path(task["out_path"])
-    if k > 31:
-        from ..bigk import build_subgraph_2w
-        from ..bigk.serialize import save_big_graph
-        built = build_subgraph_2w(block, policy, preaggregate=preaggregate)
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        n_bytes = save_big_graph(tmp, built.graph)
-    else:
-        from ..graph.serialize import save_graph
-        built = build_subgraph(block, policy, preaggregate=preaggregate)
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        n_bytes = save_graph(tmp, built.graph)
+    built = build_subgraph(block, policy, preaggregate=preaggregate)
+    tmp = out_path.with_name(out_path.name + ".tmp")
+    n_bytes = save_any_graph(tmp, built.graph)
     atomic_replace(tmp, out_path)
     return {
         "kind": "step2",

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bigk.construct import (
-    block_observations_2w,
-    build_debruijn_graph_bigk,
-    build_subgraph_2w,
-    build_subgraph_2w_sortmerge,
-    flat_kmers_2w,
-    merge_bigk_disjoint,
-)
+from repro.bigk.construct import merge_bigk_disjoint
 from repro.bigk.kmer2w import (
     canonical2w_with_flip,
     check_2w_k,
@@ -27,6 +20,14 @@ from repro.bigk.store import (
     graph_from_plane_pairs,
 )
 from repro.bigk.table import TwoWordHashTable, hash_planes, hash_planes_int
+from repro.core.config import ParaHashConfig
+from repro.core.parahash import ParaHash, build_debruijn_graph
+from repro.core.subgraph import (
+    block_observations,
+    build_subgraph,
+    build_subgraph_sortmerge,
+    preaggregate_observations,
+)
 from repro.dna.kmer import canonical_int, iter_kmers, revcomp_int
 from repro.msp.partitioner import partition_reads
 
@@ -165,19 +166,19 @@ class TestBigKConstruction:
     @pytest.mark.parametrize("k", [33, 45])
     def test_end_to_end_equals_reference(self, genomic_batch, k):
         slow = build_reference_bigk_slow(genomic_batch, k)
-        fast = build_debruijn_graph_bigk(genomic_batch, k, p=13, n_partitions=8)
+        fast = build_debruijn_graph(genomic_batch, k, p=13, n_partitions=8)
         assert fast.equals(slow)
 
     def test_k63(self, clean_batch):
         slow = build_reference_bigk_slow(clean_batch, 63)
-        fast = build_debruijn_graph_bigk(clean_batch, 63, p=21, n_partitions=4)
+        fast = build_debruijn_graph(clean_batch, 63, p=21, n_partitions=4)
         assert fast.equals(slow)
 
-    def test_flat_kmers_2w_matches_read_extraction(self, genomic_batch):
+    def test_flat_kmers_two_planes_match_read_extraction(self, genomic_batch):
         k = 41
         res = partition_reads(genomic_batch, k, 13, 1)
         block = res.blocks[0]
-        hi, lo, pos = flat_kmers_2w(block)
+        hi, lo, pos = block.flat_kmers()
         assert hi.size == genomic_batch.n_kmers(k)
         # Spot-check against per-record scalar extraction.
         rec = block.record(0)
@@ -191,18 +192,18 @@ class TestBigKConstruction:
         for block in res.blocks:
             if block.n_superkmers == 0:
                 continue
-            hashed = build_subgraph_2w(block).graph
-            assert hashed.equals(build_subgraph_2w_sortmerge(block))
+            hashed = build_subgraph(block).graph
+            assert hashed.equals(build_subgraph_sortmerge(block))
 
     def test_accounting(self, genomic_batch):
         k = 33
-        g = build_debruijn_graph_bigk(genomic_batch, k, p=13, n_partitions=8)
+        g = build_debruijn_graph(genomic_batch, k, p=13, n_partitions=8)
         assert g.total_kmer_instances() == genomic_batch.n_kmers(k)
         pairs = genomic_batch.n_reads * (genomic_batch.read_length - k)
         assert g.total_edge_weight() == 2 * pairs
 
     def test_neighbors(self, clean_batch):
-        g = build_debruijn_graph_bigk(clean_batch, 33, p=13, n_partitions=4)
+        g = build_debruijn_graph(clean_batch, 33, p=13, n_partitions=4)
         v = g.vertex_int(len(g) // 2)
         neighbors = g.successors(v) + g.predecessors(v)
         assert neighbors  # interior vertex of a covered genome
@@ -211,33 +212,25 @@ class TestBigKConstruction:
             assert canonical_int(neighbor, 33) == neighbor
 
     def test_merge_detects_overlap(self, genomic_batch):
-        g = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=2)
+        g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         with pytest.raises(ValueError):
             merge_bigk_disjoint([g, g])
 
     def test_observation_counts(self, small_batch):
         k = 33
         res = partition_reads(small_batch, k, 11, 1)
-        hi, lo, slots = block_observations_2w(res.blocks[0])
+        hi, lo, slots = block_observations(res.blocks[0])
         n_kmers = small_batch.n_kmers(k)
         pairs = small_batch.n_reads * (small_batch.read_length - k)
         assert hi.size == n_kmers + 2 * pairs
 
-    def test_invalid_params(self, genomic_batch):
-        with pytest.raises(ValueError):
-            build_debruijn_graph_bigk(genomic_batch, 20, p=13)
-        with pytest.raises(ValueError):
-            build_debruijn_graph_bigk(genomic_batch, 33, p=32)
-
 
 class TestBigKPreaggregate:
     def test_preaggregate_preserves_observation_totals(self, genomic_batch):
-        from repro.bigk.construct import preaggregate_observations_2w
-
         res = partition_reads(genomic_batch, 45, 15, 4)
         block = max(res.blocks, key=lambda b: b.n_superkmers)
-        hi, lo, slots = block_observations_2w(block)
-        ahi, alo, aslots, counts = preaggregate_observations_2w(hi, lo, slots)
+        hi, lo, slots = block_observations(block)
+        ahi, alo, aslots, counts = preaggregate_observations(hi, lo, slots)
         assert ahi.size == alo.size == aslots.size == counts.size
         assert ahi.size < hi.size  # a covered genome repeats observations
         assert int(counts.sum()) == hi.size
@@ -247,31 +240,26 @@ class TestBigKPreaggregate:
         assert len(triples) == ahi.size
 
     def test_preaggregate_empty(self):
-        from repro.bigk.construct import preaggregate_observations_2w
-
         e = np.zeros(0, dtype=np.uint64)
-        ahi, alo, aslots, counts = preaggregate_observations_2w(
+        ahi, alo, aslots, counts = preaggregate_observations(
             e, e, np.zeros(0, dtype=np.int64)
         )
         assert ahi.size == alo.size == aslots.size == counts.size == 0
 
     @pytest.mark.parametrize("k", [33, 45])
     def test_preaggregated_build_equals_plain(self, genomic_batch, k):
-        plain = build_debruijn_graph_bigk(
-            genomic_batch, k, p=13, n_partitions=8, preaggregate=False
-        )
-        agg = build_debruijn_graph_bigk(
-            genomic_batch, k, p=13, n_partitions=8, preaggregate=True
-        )
+        cfg = ParaHashConfig(k=k, p=13, n_partitions=8)
+        plain = ParaHash(cfg.with_(preaggregate=False)).build_graph(
+            genomic_batch).graph
+        agg = ParaHash(cfg.with_(preaggregate=True)).build_graph(
+            genomic_batch).graph
         assert agg.equals(plain)
 
     def test_counted_insert_stats_order_independent(self, genomic_batch):
         """Counted inserts meter ops/updates as if replayed one by one."""
         res = partition_reads(genomic_batch, 45, 15, 1)
-        hi, lo, slots = block_observations_2w(res.blocks[0])
-        from repro.bigk.construct import preaggregate_observations_2w
-
-        ahi, alo, aslots, counts = preaggregate_observations_2w(hi, lo, slots)
+        hi, lo, slots = block_observations(res.blocks[0])
+        ahi, alo, aslots, counts = preaggregate_observations(hi, lo, slots)
 
         plain = TwoWordHashTable(1 << 14, 45)
         plain.insert_batch(hi, lo, slots)
@@ -309,8 +297,8 @@ class TestBigKPartitionCodec:
         loaded = read_partition(path)
         assert loaded.k == k
         assert loaded.n_superkmers == block.n_superkmers
-        hi_a, lo_a, slots_a = block_observations_2w(block)
-        hi_b, lo_b, slots_b = block_observations_2w(loaded)
+        hi_a, lo_a, slots_a = block_observations(block)
+        hi_b, lo_b, slots_b = block_observations(loaded)
         assert np.array_equal(hi_a, hi_b)
         assert np.array_equal(lo_a, lo_b)
         assert np.array_equal(slots_a, slots_b)
@@ -320,7 +308,7 @@ class TestBigSerialize:
     def test_roundtrip(self, genomic_batch, tmp_path):
         from repro.bigk.serialize import load_big_graph, save_big_graph
 
-        g = build_debruijn_graph_bigk(genomic_batch, 41, p=13, n_partitions=4)
+        g = build_debruijn_graph(genomic_batch, 41, p=13, n_partitions=4)
         path = tmp_path / "g.phdbg"
         n_bytes = save_big_graph(path, g)
         assert n_bytes == path.stat().st_size
@@ -331,7 +319,7 @@ class TestBigSerialize:
         from repro.graph.build import build_reference_graph
         from repro.graph.serialize import save_graph
 
-        big = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=2)
+        big = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         small = build_reference_graph(genomic_batch, 15)
         p_big = tmp_path / "big.phdbg"
         p_small = tmp_path / "small.phdbg"
@@ -353,7 +341,7 @@ class TestBigSerialize:
         from repro.bigk.serialize import load_big_graph, save_big_graph
         from repro.graph.serialize import GraphFormatError
 
-        g = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=2)
+        g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         path = tmp_path / "g.phdbg"
         save_big_graph(path, g)
         data = path.read_bytes()
@@ -370,7 +358,7 @@ class TestBigCompaction:
 
         genome = random_genome(1_200, seed=12)
         reads = simulate_reads(genome, 350, 80, mean_errors=0.0, seed=13)
-        g = build_debruijn_graph_bigk(reads, 41, p=15, n_partitions=4)
+        g = build_debruijn_graph(reads, 41, p=15, n_partitions=4)
         unitigs = compact_unitigs_bigk(g)
         longest = max(unitigs, key=len).to_str()
         gs = decode(genome)
@@ -381,7 +369,7 @@ class TestBigCompaction:
     def test_base_count_invariant(self, clean_batch):
         from repro.bigk.compact import compact_unitigs_bigk
 
-        g = build_debruijn_graph_bigk(clean_batch, 33, p=13, n_partitions=4)
+        g = build_debruijn_graph(clean_batch, 33, p=13, n_partitions=4)
         unitigs = compact_unitigs_bigk(g)
         total = sum(len(u) for u in unitigs)
         assert total == g.n_vertices + len(unitigs) * 32
@@ -389,7 +377,7 @@ class TestBigCompaction:
     def test_every_vertex_once(self, genomic_batch):
         from repro.bigk.compact import compact_unitigs_bigk
 
-        g = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=4)
+        g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=4)
         unitigs = compact_unitigs_bigk(g)
         rows = [r for u in unitigs for r in u.vertex_rows]
         assert sorted(rows) == list(range(g.n_vertices))
@@ -406,7 +394,7 @@ class TestBigStore:
             )
 
     def test_index_of(self, genomic_batch):
-        g = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=2)
+        g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         v = g.vertex_int(3)
         assert g.index_of(v) == 3
         assert v in g
@@ -416,7 +404,7 @@ class TestBigStore:
         from repro.dna.alphabet import encode
         from repro.dna.encoding import codes_to_int
 
-        g = build_debruijn_graph_bigk(genomic_batch, 33, p=13, n_partitions=2)
+        g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         s = g.vertex_str(0)
         assert len(s) == 33
         assert codes_to_int(encode(s)) == g.vertex_int(0)

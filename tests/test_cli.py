@@ -223,13 +223,13 @@ class TestBigKCli:
         assert "two-word keys" in capsys.readouterr().out
 
     def test_bigk_roundtrip_exact(self, reads_file, tmp_path):
-        from repro.bigk import build_debruijn_graph_bigk, load_big_graph
+        from repro.bigk import build_reference_bigk_slow, load_big_graph
 
         out = tmp_path / "g41.phdbg"
         main(["build", "--input", str(reads_file), "--k", "41",
               "--p", "15", "--partitions", "4", "--output", str(out)])
         reads = load_read_batch(reads_file)
-        expected = build_debruijn_graph_bigk(reads, 41, p=15, n_partitions=4)
+        expected = build_reference_bigk_slow(reads, 41)
         assert load_big_graph(out).equals(expected)
 
     def test_unsupported_flags_rejected(self, reads_file, tmp_path):
@@ -242,6 +242,14 @@ class TestBigKCli:
                    "--p", "15", "--partitions", "4", "--output", str(out),
                    "--tsv", str(tmp_path / "g.tsv")])
         assert rc == 2
+
+    def test_k32_rejected_before_work(self, reads_file, tmp_path, capsys):
+        out = tmp_path / "g.phdbg"
+        rc = main(["build", "--input", str(reads_file), "--k", "32",
+                   "--p", "15", "--partitions", "4", "--output", str(out)])
+        assert rc == 2
+        assert "33..63" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_processes_backend_builds_large_k(self, reads_file, tmp_path):
         from repro.bigk import load_big_graph
@@ -263,18 +271,18 @@ class TestBigKCli:
         self, reads_file, tmp_path, monkeypatch
     ):
         # Regression: the big-k serial path used to drop --preaggregate
-        # entirely.  Count calls into the 2w pre-aggregation kernel.
-        import repro.bigk.construct as construct_mod
+        # entirely.  Count calls into the pre-aggregation kernel.
+        import repro.core.subgraph as subgraph_mod
 
         calls = {"n": 0}
-        real = construct_mod.preaggregate_observations_2w
+        real = subgraph_mod.preaggregate_observations
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(construct_mod,
-                            "preaggregate_observations_2w", counting)
+        monkeypatch.setattr(subgraph_mod, "preaggregate_observations",
+                            counting)
         base = ["build", "--input", str(reads_file), "--k", "41",
                 "--p", "15", "--partitions", "4"]
         rc = main(base + ["--output", str(tmp_path / "a.phdbg")])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.concurrentsub.hashfunc import (
+    hash_planes,
+    hash_planes_int,
     hash_words,
     mix64,
     mix64_int,
@@ -42,6 +44,25 @@ class TestMix64:
         copy = values.copy()
         mix64(values)
         assert np.array_equal(values, copy)
+
+
+class TestHashPlanes:
+    def test_one_plane_is_mix64(self, rng):
+        # W = 1 keeps the one-word probe order: the fold is plain mix64.
+        values = rng.integers(0, 1 << 63, size=1000, dtype=np.uint64)
+        assert np.array_equal(hash_planes(values), mix64(values))
+        for i in range(0, 1000, 97):
+            assert hash_planes_int(int(values[i])) == mix64_int(int(values[i]))
+
+    def test_two_planes_fold(self, rng):
+        hi = rng.integers(0, 1 << 62, size=1000, dtype=np.uint64)
+        lo = rng.integers(0, 1 << 63, size=1000, dtype=np.uint64)
+        golden = 0x9E3779B97F4A7C15
+        mixed = hash_planes(hi, lo)
+        for i in range(0, 1000, 97):
+            h, l = int(hi[i]), int(lo[i])
+            expected = mix64_int(l ^ ((mix64_int(h) + golden) % 2**64))
+            assert hash_planes_int(h, l) == expected == int(mixed[i])
 
 
 class TestHashWords:

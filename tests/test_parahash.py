@@ -20,6 +20,8 @@ class TestConfig:
             ParaHashConfig(k=0)
         with pytest.raises(ValueError):
             ParaHashConfig(k=64)  # two words hold at most 63 bases
+        with pytest.raises(ValueError, match="33..63"):
+            ParaHashConfig(k=32)  # neither key width
         with pytest.raises(ValueError):
             ParaHashConfig(k=45, p=32)  # minimizers stay one-word
         with pytest.raises(ValueError):
@@ -117,21 +119,35 @@ class TestEndToEnd:
 
     def test_build_from_files(self, genomic_batch, tmp_path):
         # Shard the reads across three fastq files; streaming
-        # construction must equal the in-memory build.
+        # construction must equal the in-memory build, at both key
+        # widths, and write subgraph files of the key width's format.
+        from repro.bigk.serialize import load_big_graph
         from repro.dna.io import save_read_batch
+        from repro.graph.merge import merge_subgraphs
+        from repro.graph.serialize import load_graph
 
         shards = []
         for i, piece in enumerate(genomic_batch.split(3)):
             path = tmp_path / f"shard_{i}.fastq"
             save_read_batch(path, piece)
             shards.append(path)
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=4)
-        result = ParaHash(cfg).build_graph_from_files(
-            shards, workdir=tmp_path / "work"
-        )
-        ref = build_reference_graph(genomic_batch, 15)
-        assert_graphs_equal(result.graph, ref, "from-files")
-        assert result.n_kmers == genomic_batch.n_kmers(15)
+        for k, p in ((15, 7), (45, 15)):
+            cfg = ParaHashConfig(k=k, p=p, n_partitions=4)
+            out = tmp_path / f"out{k}"
+            result = ParaHash(cfg).build_graph_from_files(
+                shards, workdir=tmp_path / f"work{k}", output_dir=out
+            )
+            in_memory = ParaHash(cfg).build_graph(genomic_batch).graph
+            assert result.graph.equals(in_memory), k
+            if k <= 31:
+                ref = build_reference_graph(genomic_batch, k)
+                assert_graphs_equal(result.graph, ref, "from-files")
+            assert result.n_kmers == genomic_batch.n_kmers(k)
+            load = load_big_graph if k > 31 else load_graph
+            files = sorted(out.glob("subgraph_*.phdbg"))
+            assert len(files) == len(result.subgraphs)
+            loaded = merge_subgraphs([load(f) for f in files], k)
+            assert loaded.equals(result.graph), k
 
     def test_build_from_files_requires_input(self, tmp_path):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from repro.core.config import BACKENDS, ParaHashConfig
 from repro.core.hashtable import ConcurrentHashTable
 from repro.core.parahash import ParaHash
 from repro.dna.kmer import canonical_u64, kmers_from_reads
+from repro.dna.reads import ReadBatch
 from repro.graph.dbg import N_SLOTS
 from repro.parallel import (
     WorkerCrashed,
@@ -145,7 +146,7 @@ def test_cross_process_cas_matches_serial_insert(genomic_batch, rng):
     expected = serial.to_graph()
 
     graph, stats = concurrent_insert_processes(
-        kmers, slots, k, capacity, n_workers=3
+        kmers, slots, k=k, capacity=capacity, n_workers=3
     )
     assert_graphs_identical(expected, graph)
     assert len(stats) == 3
@@ -219,7 +220,6 @@ def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
 def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
     from repro.bigk import TwoWordHashTable, canonical2w_with_flip
     from repro.bigk.kmer2w import kmers2w_from_reads
-    from repro.parallel import concurrent_insert_processes_2w
 
     k = 45
     hi, lo = kmers2w_from_reads(genomic_batch.codes, k)
@@ -232,8 +232,8 @@ def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
     serial.insert_batch(hi, lo, slots)
     expected = serial.to_graph()
 
-    graph, stats = concurrent_insert_processes_2w(
-        hi, lo, slots, k, capacity, n_workers=3
+    graph, stats = concurrent_insert_processes(
+        hi, lo, slots, k=k, capacity=capacity, n_workers=3
     )
     assert expected.equals(graph)
     assert len(stats) == 3
@@ -241,13 +241,32 @@ def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
 
 
 def test_cross_process_cas_2w_rejects_small_k():
-    with pytest.raises(ValueError):
-        from repro.parallel import concurrent_insert_processes_2w
-
-        concurrent_insert_processes_2w(
+    # Two key planes at a one-word k: the plane count must match k.
+    with pytest.raises(ValueError, match="1 key plane"):
+        concurrent_insert_processes(
             np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64),
-            np.zeros(1, dtype=np.int64), 21, 16, 1,
+            np.zeros(1, dtype=np.int64), k=21, capacity=16, n_workers=1,
         )
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("k", [29, 30, 31, 33, 61, 63])
+def test_backend_matches_oracle_at_key_width_edges(rng, backend, k):
+    """Both parallel backends equal the oracle of the key width where the
+    packing tricks overflow: the top of one-word keys, both ends of
+    two-word keys."""
+    from repro.bigk.store import build_reference_bigk_slow
+    from repro.graph.build import build_reference_graph
+
+    batch = ReadBatch(codes=rng.integers(0, 4, size=(24, k + 30),
+                                         dtype=np.uint8))
+    cfg = ParaHashConfig(k=k, p=11, n_partitions=4, backend=backend,
+                         n_workers=2)
+    graph = ParaHash(cfg).build_graph(batch).graph
+    if k <= 31:
+        assert_graphs_identical(build_reference_graph(batch, k), graph)
+    else:
+        assert graph.equals(build_reference_bigk_slow(batch, k))
 
 
 # -- CI backend x k matrix leg ------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bigk.construct import build_debruijn_graph_bigk
 from repro.bigk.kmer2w import (
     canonical2w_with_flip,
     join_planes,
@@ -12,10 +11,9 @@ from repro.bigk.kmer2w import (
     revcomp2w,
     split_int,
 )
-from repro.bigk.store import build_reference_bigk_slow, graph_from_plane_pairs
+from repro.bigk.store import graph_from_plane_pairs
 from repro.bigk.table import TwoWordHashTable
 from repro.dna.kmer import canonical_int, revcomp_int
-from repro.dna.reads import ReadBatch
 
 big_ks = st.integers(33, 63)
 
@@ -64,22 +62,6 @@ class TestPlaneProperties:
 
 
 class TestBigKConstructionProperties:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=8, deadline=None)
-    def test_pipeline_equals_slow_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(33, 50))
-        n = int(rng.integers(2, 10))
-        length = k + int(rng.integers(2, 25))
-        batch = ReadBatch(codes=rng.integers(0, 4, size=(n, length),
-                                             dtype=np.uint8))
-        p = int(rng.integers(5, 22))
-        n_partitions = int(rng.integers(1, 8))
-        fast = build_debruijn_graph_bigk(batch, k, p=p,
-                                         n_partitions=n_partitions)
-        slow = build_reference_bigk_slow(batch, k)
-        assert fast.equals(slow)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_table_equals_sortmerge(self, seed):

@@ -81,28 +81,41 @@ class TestBuildSubgraph:
         assert result.capacity >= result.graph.n_vertices
         assert result.table_bytes > 0
 
-    def test_regrow_on_estimate_violation(self, rng):
+    @pytest.mark.parametrize("k", [15, 45])
+    def test_regrow_on_estimate_violation(self, rng, k):
         # Coverage < 1 random reads: nearly all kmers distinct, which
         # violates the Property 1 estimate and must trigger regrowth.
+        from repro.bigk.store import build_reference_bigk_slow
         from repro.dna.reads import ReadBatch
 
         batch = ReadBatch(codes=rng.integers(0, 4, size=(300, 60), dtype=np.uint8))
-        res = partition_reads(batch, k=15, p=7, n_partitions=1)
+        res = partition_reads(batch, k=k, p=7, n_partitions=1)
         policy = SizingPolicy(lam=0.5, alpha=0.9)
         result = build_subgraph(res.blocks[0], policy=policy)
         assert result.n_regrows > 0
-        ref = build_reference_graph(batch, 15)
-        assert_graphs_equal(result.graph, ref, "after-regrow")
+        assert result.n_kmers == batch.n_kmers(k)
+        assert result.table_bytes > 0
+        if k <= 31:
+            ref = build_reference_graph(batch, k)
+            assert_graphs_equal(result.graph, ref, "after-regrow")
+        else:
+            assert result.graph.equals(build_reference_bigk_slow(batch, k))
 
-    def test_regrow_disabled_raises(self, rng):
+    @pytest.mark.parametrize("k", [15, 45])
+    def test_regrow_disabled_raises(self, rng, k):
         from repro.core.hashtable import TableFullError
         from repro.dna.reads import ReadBatch
 
         batch = ReadBatch(codes=rng.integers(0, 4, size=(300, 60), dtype=np.uint8))
-        res = partition_reads(batch, k=15, p=7, n_partitions=1)
+        res = partition_reads(batch, k=k, p=7, n_partitions=1)
         with pytest.raises(TableFullError):
             build_subgraph(res.blocks[0], policy=SizingPolicy(lam=0.5, alpha=0.9),
                            allow_regrow=False)
+
+    def test_threaded_build_needs_one_word_keys(self, genomic_batch):
+        res = partition_reads(genomic_batch, k=45, p=15, n_partitions=1)
+        with pytest.raises(ValueError, match="one-word"):
+            build_subgraph(res.blocks[0], n_threads=2)
 
     def test_genomic_data_never_regrows(self, genomic_batch):
         # On real coverage data the paper's sizing avoids resizing.
