@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=27)
     p.add_argument("--p", type=int, default=11, help="minimizer length")
     p.add_argument("--partitions", type=int, default=32)
-    p.add_argument("--threads", type=int, default=1,
-                   help="co-processing worker threads for Step 2")
     p.add_argument("--backend", choices=["serial", "threads", "processes"],
                    default="serial",
                    help="execution backend for the pipeline (any k <= 63)")
@@ -72,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = all cores)")
     p.add_argument("--workdir",
                    help="directory for encoded partition files (disk-backed run)")
-    p.add_argument("--pipeline", dest="pipeline", action="store_true",
-                   default=True,
-                   help="stream Step 2 while Step 1 runs "
-                        "(processes backend; default)")
-    p.add_argument("--no-pipeline", dest="pipeline", action="store_false",
-                   help="barrier between the steps (processes backend)")
     p.add_argument("--preaggregate", dest="preaggregate",
                    action="store_true", default=True,
                    help="collapse duplicate observations into counted "
@@ -85,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-preaggregate", dest="preaggregate",
                    action="store_false",
                    help="insert every observation individually")
-    p.add_argument("--calibrate", action="store_true",
-                   help="measure this host's kernel rates and size claim "
-                        "weights from the fitted device model "
-                        "(processes backend)")
     p.add_argument("--output", required=True, help="graph file (.phdbg)")
     p.add_argument("--tsv", help="also export adjacency lists as TSV")
     p.add_argument("--min-multiplicity", type=int, default=1,
@@ -184,9 +172,8 @@ def _build_config(args: argparse.Namespace, p: int) -> ParaHashConfig:
     """The ``repro build`` flags as a run configuration."""
     return ParaHashConfig(
         k=args.k, p=p, n_partitions=args.partitions,
-        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, preaggregate=args.preaggregate,
-        calibrate=args.calibrate,
+        backend=args.backend, n_workers=args.workers,
+        preaggregate=args.preaggregate,
     )
 
 

@@ -44,31 +44,20 @@ class ParaHashConfig:
         granularity).
     sizing:
         Hash-table sizing policy (Property 1 parameters λ and α).
-    n_threads:
-        Worker threads for Step 2's real-thread path; 1 selects the
-        vectorized batch path.
     backend:
         Execution backend for the end-to-end driver: ``"serial"`` (one
-        process, vectorized kernels), ``"threads"`` (the §III-E
-        work-stealing queue across ``n_workers`` threads), or
-        ``"processes"`` (worker processes over shared memory — see
-        :mod:`repro.parallel.backend`).
+        process, vectorized kernels), ``"threads"`` (both steps
+        co-processed through the §III-E work-stealing queue across
+        ``n_workers`` threads), or ``"processes"`` (worker processes over
+        shared memory, Step 1 streaming into Step 2 with no barrier —
+        see :mod:`repro.parallel.backend`).
     n_workers:
         Worker count for the ``threads``/``processes`` backends;
         0 means auto (the machine's CPU count).
-    pipeline:
-        ``processes`` backend only: stream Step-2 partition claims
-        through the cross-process ready queue while Step 1 is still
-        partitioning (§III-E overlap), instead of barriering between
-        the steps.
     preaggregate:
         Collapse duplicate ``(vertex, slot)`` observations into counted
         inserts before touching a hash table (one probe walk per
         distinct pair; stats stay protocol-equivalent).
-    calibrate:
-        ``processes`` backend only: run a short warm-up measurement
-        pass, fit the :mod:`repro.hetsim.device` model to this host,
-        and size per-worker chunk/partition claim weights from it.
     """
 
     k: int = 27
@@ -76,12 +65,9 @@ class ParaHashConfig:
     n_partitions: int = 32
     n_input_pieces: int = 4
     sizing: SizingPolicy = field(default_factory=SizingPolicy)
-    n_threads: int = 1
     backend: str = "serial"
     n_workers: int = 0
-    pipeline: bool = True
     preaggregate: bool = True
-    calibrate: bool = False
 
     #: Not a field: every build inserts each partition from one owner
     #: with the paper's state-transfer protocol.  The benchmark's traced
@@ -98,8 +84,6 @@ class ParaHashConfig:
             raise ValueError("n_partitions must be >= 1")
         if self.n_input_pieces < 1:
             raise ValueError("n_input_pieces must be >= 1")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -112,6 +96,15 @@ class ParaHashConfig:
         if self.n_workers > 0:
             return self.n_workers
         return max(1, os.cpu_count() or 1)
+
+    def coprocessing_threads(self) -> int:
+        """Threads that co-process the in-process steps (>= 1).
+
+        ``workers()`` for the ``threads`` backend, otherwise 1: the
+        serial backend runs one thread and the processes backend does
+        its own fan-out.
+        """
+        return self.workers() if self.backend == "threads" else 1
 
     def with_(self, **changes) -> "ParaHashConfig":
         """A modified copy (convenience for sweeps)."""

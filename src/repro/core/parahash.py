@@ -88,20 +88,21 @@ class ParaHash:
     def partition(self, reads: ReadBatch) -> list[SuperkmerBlock]:
         """In-memory Step 1: superkmer blocks, one per partition.
 
-        With ``n_threads > 1`` the input pieces are co-processed through
-        the work-stealing queue, mirroring Step 1's pipeline; piece
-        results accumulate in input order either way, so the outcome is
-        identical to the sequential run.
+        On the ``threads`` backend the input pieces are co-processed
+        through the work-stealing queue, mirroring Step 1's pipeline;
+        piece results accumulate in input order either way, so the
+        outcome is identical to the sequential run.
         """
         cfg = self.config
+        n_threads = cfg.coprocessing_threads()
         pieces = reads.split(cfg.n_input_pieces)
-        if cfg.n_threads > 1 and len(pieces) > 1:
+        if n_threads > 1 and len(pieces) > 1:
             workers = {
                 f"cpu{t}": (
                     lambda piece: partition_reads(piece, cfg.k, cfg.p,
                                                   cfg.n_partitions)
                 )
-                for t in range(cfg.n_threads)
+                for t in range(n_threads)
             }
             results, _ = run_coprocessed(pieces, workers,
                                          size_of=lambda piece: piece.n_reads)
@@ -131,15 +132,16 @@ class ParaHash:
     ) -> tuple[list[SubgraphResult], dict[str, WorkerRecord]]:
         """Build one subgraph per partition, optionally co-processed."""
         cfg = self.config
+        n_threads = cfg.coprocessing_threads()
         nonempty = [b for b in blocks if b.n_superkmers]
 
         def process(block: SuperkmerBlock) -> SubgraphResult:
-            return build_subgraph(block, policy=cfg.sizing, n_threads=1,
+            return build_subgraph(block, policy=cfg.sizing,
                                   preaggregate=cfg.preaggregate)
 
-        if cfg.n_threads == 1 or len(nonempty) <= 1:
+        if n_threads == 1 or len(nonempty) <= 1:
             return [process(b) for b in nonempty], {}
-        workers = {f"cpu{t}": process for t in range(cfg.n_threads)}
+        workers = {f"cpu{t}": process for t in range(n_threads)}
         results, records = run_coprocessed(
             nonempty, workers, size_of=lambda b: b.total_kmers()
         )
@@ -179,10 +181,6 @@ class ParaHash:
             return build_graph_processes(
                 reads, cfg, workdir=workdir, output_dir=output_dir
             )
-        if cfg.backend == "threads" and cfg.n_threads < cfg.workers():
-            threaded = ParaHash(cfg.with_(n_threads=cfg.workers()))
-            return threaded.build_graph(reads, workdir=workdir,
-                                        output_dir=output_dir)
         t0 = time.perf_counter()
         io_seconds = 0.0
         partition_bytes = 0

@@ -161,7 +161,6 @@ class SubgraphResult:
 def build_subgraph(
     block: SuperkmerBlock,
     policy: SizingPolicy | None = None,
-    n_threads: int = 1,
     allow_regrow: bool = True,
     preaggregate: bool = False,
 ) -> SubgraphResult:
@@ -171,12 +170,9 @@ def build_subgraph(
     for ``k <= 31`` and two for ``33 <= k <= 63``
     (:func:`repro.core.hashtable.table_class`).
 
-    ``n_threads == 1`` uses the vectorized batch path; more threads run
-    the real per-operation state machine concurrently (slow; meant for
-    correctness validation, not throughput, and one-word keys only).
-
-    ``preaggregate`` (batch path only) collapses duplicate
-    ``(vertex, slot)`` observations via
+    Observations go through the vectorized batch path
+    (:meth:`PlaneHashTable.insert_batch`).  ``preaggregate`` collapses
+    duplicate ``(vertex, slot)`` observations via
     :func:`preaggregate_observations` before touching the table; the
     resulting graph and the metered ``HashStats.lock_reduction`` are
     identical, only the table-touching work shrinks.
@@ -190,24 +186,19 @@ def build_subgraph(
     ``allow_regrow=False`` the overflow raises
     :class:`repro.core.hashtable.TableFullError` instead.
     """
-    if n_threads > 1 and block.k > 31:
-        raise ValueError("the threaded build path needs one-word keys (k <= 31)")
     policy = policy or SizingPolicy()
     table_cls = table_class(block.k)
     n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
     *planes, slots = block_observations(block)
     counts = None
-    if preaggregate and n_threads == 1:
+    if preaggregate:
         *planes, slots, counts = preaggregate_observations(*planes, slots)
     n_regrows = 0
     while True:
         table = table_cls(capacity, block.k)
         try:
-            if n_threads == 1:
-                table.insert_batch(*planes, slots, counts=counts)
-            else:
-                table.insert_threaded(planes[0], slots, n_threads)
+            table.insert_batch(*planes, slots, counts=counts)
             break
         except TableFullError:
             if not allow_regrow:

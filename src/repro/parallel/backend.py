@@ -1,35 +1,30 @@
 """The process-parallel execution backend (``backend="processes"``).
 
 Runs both ParaHash steps across worker *processes* so the pipeline
-scales with cores instead of being serialized by the GIL:
+scales with cores instead of being serialized by the GIL.  One worker
+pool runs both steps as the §III-E streaming pipeline, with no global
+barrier between them:
 
 * **Step 1** — the read matrix is copied once into shared memory and
   split into chunks; workers claim chunks from a
   :class:`~repro.concurrentsub.workqueue.ProcessTicketQueue` (the
-  paper's ``cns`` work stealing, with weighted dispatch) and append
-  each chunk's superkmer blocks to their own spill files.  Grouping
-  the spill files by partition id — the minimizer-hash class — is the
-  merge.
-* **Step 2** — the parent pre-creates one shared-memory hash-table
-  segment per non-empty partition (sized by Property 1 from the exact
-  per-partition kmer counts Step 1 reported); workers claim partitions,
-  read their spill group, and run the vectorized insert kernel directly
-  into the shared buffers.  The parent then reads each finished table
-  *in place* — result transfer is zero-copy, nothing big is pickled.
-
-With ``config.pipeline`` (the default) the two steps run in ONE worker
-pool as the §III-E streaming pipeline instead of two pools split by a
-global barrier: each worker finishes its share of Step 1, announces its
-spill manifest to the parent through the pool's event channel, and
-falls through to claiming Step-2 partitions from a
-:class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`.  The parent's
-merger reacts to the manifests inline with the result-poll loop —
-finalizing partitions one at a time (merge spills, create the shared
-table segment, publish the work order) so early partitions are being
-hashed by some workers while the parent is still finalizing later ones
-and slower workers are still partitioning reads.  ``config.calibrate``
-sizes both claim weights from a measured
-:mod:`repro.hetsim.device` fit of this host.
+  paper's ``cns`` work stealing) and append each chunk's superkmer
+  blocks to their own spill files.  Grouping the spill files by
+  partition id — the minimizer-hash class — is the merge.  Each worker
+  then announces its spill manifest to the parent through the pool's
+  event channel.
+* **Step 2** — the parent's merger reacts to the manifests inline with
+  the result-poll loop, finalizing partitions one at a time: merge the
+  partition's spills, create its shared-memory hash-table segment
+  (sized by Property 1 from the exact per-partition kmer counts Step 1
+  reported), publish the work order on a
+  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`.  Workers
+  that finished Step 1 fall through to claiming those partitions and
+  run the vectorized insert kernel directly into the shared buffers,
+  so early partitions are hashed while the parent still finalizes
+  later ones and slower workers still partition reads.  The parent
+  then reads each finished table *in place* — result transfer is
+  zero-copy, nothing big is pickled.
 
 A table whose Property-1 estimate is breached (``TableFullError``)
 falls back to a worker-local regrown table whose graph is returned
@@ -42,7 +37,7 @@ the *same* table's occupancy flags through
 what validates that the state-transfer protocol is sound on genuinely
 concurrent memory, not merely under the GIL.
 
-Both drivers and the CAS validation path run at any supported k: the
+The driver and the CAS validation path run at any supported k: the
 table segments carry the W key planes of :func:`repro.dna.kmer.key_planes`
 (``keys`` for ``k <= 31``, the split-key ``keys_hi``/``keys_lo`` for
 ``33 <= k <= 63``) and one Step-2 job function serves both widths.
@@ -105,20 +100,19 @@ class _Step2Job:
 
 def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
                   chunk_bounds: list[tuple[int, int]],
-                  tickets: ProcessTicketQueue, weights: list[int], k: int,
-                  p: int, n_partitions: int, spill_dir: str) -> dict:
+                  tickets: ProcessTicketQueue, k: int, p: int,
+                  n_partitions: int, spill_dir: str) -> dict:
     """Claim read chunks, partition them, spill per-worker files."""
 
     def consume(batch: ReadBatch, spills: SpillWriterSet) -> dict:
         # Inner frame: every view over the shared codes matrix dies
         # when this returns, so the segment can close cleanly.
-        weight = weights[worker_id]
         claimed: list[int] = []
         n_superkmers = 0
         n_reads = 0
         kmers_per_partition = np.zeros(n_partitions, dtype=np.int64)
         while True:
-            ids = tickets.claim(weight)
+            ids = tickets.claim()
             if not ids:
                 break
             for chunk_id in ids:
@@ -182,7 +176,7 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
     except TableFullError:
         # Property-1 estimate breached: regrow locally and ship
         # the (rare) oversized result through the queue instead.
-        result = build_subgraph(block, policy=sizing, n_threads=1,
+        result = build_subgraph(block, policy=sizing,
                                 preaggregate=preaggregate)
         payload["stats"] = result.stats
         payload["fallback"] = result.graph
@@ -192,25 +186,9 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
     return payload
 
 
-def _step2_worker(worker_id: int, jobs: list[_Step2Job],
-                  tickets: ProcessTicketQueue, weights: list[int],
-                  sizing, preaggregate: bool) -> list[dict]:
-    """Claim partitions and fill their shared tables in place."""
-    weight = weights[worker_id]
-    out: list[dict] = []
-    while True:
-        ids = tickets.claim(weight)
-        if not ids:
-            break
-        for ticket in ids:
-            out.append(_process_step2_job(jobs[ticket], sizing, preaggregate))
-    return out
-
-
 def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
                      chunk_bounds: list[tuple[int, int]],
-                     tickets: ProcessTicketQueue, weights: list[int],
-                     step2_weights: list[int], ready: ProcessWorkQueue,
+                     tickets: ProcessTicketQueue, ready: ProcessWorkQueue,
                      k: int, p: int, n_partitions: int, spill_dir: str,
                      sizing, preaggregate: bool, *, emit) -> dict:
     """Both steps in one process: partition, announce, then hash.
@@ -223,12 +201,11 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
     worker's slower peers may still be spilling.
     """
     report = _step1_worker(worker_id, batch_spec, chunk_bounds, tickets,
-                           weights, k, p, n_partitions, spill_dir)
+                           k, p, n_partitions, spill_dir)
     emit(("spills", report))
-    weight = step2_weights[worker_id]
     out: list[dict] = []
     while True:
-        jobs = ready.claim(weight)
+        jobs = ready.claim()
         if not jobs:
             break
         for job in jobs:
@@ -345,94 +322,36 @@ class _PipelineMerger:
         self.segments.clear()
 
 
-def _calibrated_weights(reads: ReadBatch, cfg, n_workers: int,
-                        n_chunks: int) -> tuple[list[int], list[int], object]:
-    """Fit the device model to this host and size both claim weights."""
-    from ..hetsim.device import (
-        ENTRY_BYTES,
-        HashWork,
-        MspWork,
-        claim_weight,
-        fitted_cpu,
-        measure_host_rates,
-    )
-
-    # The measurement pass runs the one-word kernels; for big-k runs
-    # clamp the sample's k to one word — throughput per base is what
-    # the fit extracts, and that is width-insensitive to first order.
-    calibration = measure_host_rates(reads, min(cfg.k, 31), cfg.p,
-                                     cfg.n_partitions)
-    device = fitted_cpu(calibration, n_threads=1)
-    reads_per_chunk = max(1, reads.n_reads // max(1, n_chunks))
-    chunk_bases = reads_per_chunk * reads.read_length
-    msp_work = MspWork(
-        n_reads=reads_per_chunk, n_bases=chunk_bases, n_superkmers=0,
-        in_bytes=chunk_bases, out_bytes=chunk_bases,
-    )
-    # Per-partition Step-2 work, estimated from the input shape: every
-    # kmer instance yields one multiplicity observation and up to two
-    # edge observations (~3 ops), with the sample's measured rate
-    # already folding in probe cost.
-    kmers_per_read = max(1, reads.read_length - cfg.k + 1)
-    est_kmers = max(
-        1, reads.n_reads * kmers_per_read // max(1, cfg.n_partitions)
-    )
-    est_ops = 3 * est_kmers
-    capacity = cfg.sizing.capacity_for(est_kmers)
-    hash_work = HashWork(
-        n_kmers=est_kmers, ops=est_ops, probes=est_ops // 4,
-        inserts=max(1, est_kmers // 4), table_bytes=capacity * ENTRY_BYTES,
-        in_bytes=est_kmers, out_bytes=0,
-    )
-    step1 = [claim_weight(device, msp_work)] * n_workers
-    step2 = [claim_weight(device, hash_work)] * n_workers
-    return step1, step2, calibration
-
-
 def build_graph_processes(
     reads: ReadBatch,
     config,
     workdir: str | Path | None = None,
     output_dir: str | Path | None = None,
-    weights: list[int] | None = None,
-    step2_weights: list[int] | None = None,
 ):
     """Run the two-step workflow across worker processes.
 
     Mirrors :meth:`repro.core.parahash.ParaHash.build_graph` (same
     result type, graph bit-for-bit identical to the serial backend) but
-    executes Step 1 and Step 2 on ``config.workers()`` processes.
-    ``weights`` / ``step2_weights`` optionally skew the ticket dispatch
-    (one entry per worker; a weight-``w`` worker claims ``w`` chunks —
-    or ready partitions — per visit, the CPU/GPU-style dispatch knob).
-    With ``config.calibrate`` and no explicit weights, both are sized
-    from a warm-up measurement fit of :mod:`repro.hetsim.device`.
-
-    ``config.pipeline`` selects the streaming driver (one pool, both
-    steps, no barrier); without it the two steps run as separate pools
-    with a global barrier between them.  Both produce the identical
-    graph and on-disk artifacts.
+    executes Step 1 and Step 2 on ``config.workers()`` processes as one
+    streaming pipeline: a single pool runs both steps with no barrier
+    between them, and :class:`_PipelineMerger` hands partitions from
+    one step to the other.  Workers claim one read chunk, then one
+    ready partition, per queue visit.  An input without reads returns
+    the empty result without starting a pool.
     """
     from ..core.parahash import ParaHashResult, StageTimings
 
     cfg = config
     n_workers = cfg.workers()
     n_chunks = max(cfg.n_input_pieces, 2 * n_workers)
-    if cfg.calibrate and weights is None and step2_weights is None \
-            and reads.n_reads:
-        weights, step2_weights, _ = _calibrated_weights(
-            reads, cfg, n_workers, n_chunks
-        )
-    if weights is None:
-        weights = [1] * n_workers
-    if step2_weights is None:
-        step2_weights = [1] * n_workers
-    if len(weights) != n_workers or min(weights) < 1:
-        raise ValueError("weights must give every worker a weight >= 1")
-    if len(step2_weights) != n_workers or min(step2_weights) < 1:
-        raise ValueError(
-            "step2_weights must give every worker a weight >= 1"
-        )
+    bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
+    chunk_bounds = [
+        (int(bounds_arr[i]), int(bounds_arr[i + 1]))
+        for i in range(n_chunks)
+        if bounds_arr[i + 1] > bounds_arr[i]
+    ]
+    if not chunk_bounds:
+        return _empty_result(cfg, workdir)
     ctx = default_context()
 
     tmp: tempfile.TemporaryDirectory | None = None
@@ -444,219 +363,110 @@ def build_graph_processes(
         spill_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    io_seconds = 0.0
     try:
-        # ---- Step 1: chunked fan-out over shared read memory --------------
-        bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
-        chunk_bounds = [
-            (int(bounds_arr[i]), int(bounds_arr[i + 1]))
-            for i in range(n_chunks)
-            if bounds_arr[i + 1] > bounds_arr[i]
-        ]
-        if cfg.pipeline and chunk_bounds:
-            return _build_pipelined(
-                reads, cfg, chunk_bounds, weights, step2_weights,
-                spill_dir, workdir, output_dir, ctx, t0,
-            )
-        reports: list[dict] = []
-        if chunk_bounds:
-            tickets1 = ProcessTicketQueue(len(chunk_bounds), ctx)
-            batch_seg = share_read_batch(reads)
+        tickets = ProcessTicketQueue(len(chunk_bounds), ctx)
+        ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx,
+                                 claim_timeout=600.0)
+        merger = _PipelineMerger(cfg, n_workers, ready, workdir)
+        batch_seg = share_read_batch(reads)
+        try:
             try:
-                reports = run_workers(
-                    _step1_worker, n_workers, ctx=ctx,
-                    args=(batch_seg.spec, chunk_bounds, tickets1, weights,
-                          cfg.k, cfg.p, cfg.n_partitions, str(spill_dir)),
+                results = run_workers(
+                    _pipeline_worker, n_workers, ctx=ctx,
+                    args=(batch_seg.spec, chunk_bounds, tickets, ready,
+                          cfg.k, cfg.p, cfg.n_partitions, str(spill_dir),
+                          cfg.sizing, cfg.preaggregate),
+                    on_event=merger.on_event,
                 )
             finally:
                 batch_seg.unlink()
+                # On an error path some workers may have been terminated
+                # between a reservation and its item pickup; aborting
+                # makes any racing claim return instead of wait out its
+                # timeout.
+                ready.abort()
 
-        n_superkmers = sum(r["n_superkmers"] for r in reports)
-        kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
-        for r in reports:
-            kmers_per_partition += np.asarray(r["kmers_per_partition"],
-                                              dtype=np.int64)
-        groups = spill_groups([r["spills"] for r in reports],
-                              cfg.n_partitions)
-        partition_bytes = sum(
-            os.path.getsize(path) for group in groups for path in group
-        )
-        if workdir is not None:
-            # Persist canonical partition files next to the spills so the
-            # on-disk layout matches a serial disk-backed run.
-            t_io = time.perf_counter()
-            merged = merge_spill_files(groups, workdir, cfg.k)
-            io_seconds += time.perf_counter() - t_io
-            groups = [[path] for path in merged]
-            partition_bytes = sum(os.path.getsize(path) for path in merged)
-        t1 = time.perf_counter()
-
-        # ---- Step 2: one shared table per non-empty partition -------------
-        live = [
-            part for part in range(cfg.n_partitions)
-            if kmers_per_partition[part] > 0
-        ]
-        segments = {}
-        payload_lists: list[list[dict]] = []
-        subgraphs: list = []
-        stats = HashStats()
-        try:
-            jobs: list[_Step2Job] = []
-            for part in live:
-                capacity = next_power_of_two(max(2, cfg.sizing.capacity_for(
-                    max(1, int(kmers_per_partition[part]))
-                )))
-                seg = create_table_segment(capacity, cfg.k)
-                segments[part] = seg
-                jobs.append(_Step2Job(
-                    partition=part, k=cfg.k, table_spec=seg.spec,
-                    group=tuple(str(p) for p in groups[part]),
-                ))
-            if jobs:
-                step2_workers = max(1, min(n_workers, len(jobs)))
-                tickets2 = ProcessTicketQueue(len(jobs), ctx)
-                payload_lists = run_workers(
-                    _step2_worker, step2_workers, ctx=ctx,
-                    args=(jobs, tickets2, step2_weights, cfg.sizing,
-                          cfg.preaggregate),
+            by_partition: dict[int, dict] = {}
+            for result in results:
+                for payload in result["step2"]:
+                    by_partition[payload["partition"]] = payload
+            missing = [p for p in merger.live if p not in by_partition]
+            if missing:  # pragma: no cover - queue drain guarantees coverage
+                raise RuntimeError(
+                    f"partitions {missing} were published but never hashed"
                 )
-            by_partition = {
-                payload["partition"]: payload
-                for payloads in payload_lists for payload in payloads
-            }
-            for part in live:
+            subgraphs: list = []
+            stats = HashStats()
+            for part in merger.live:
                 payload = by_partition[part]
                 stats = stats.merged_with(payload["stats"])
                 if payload["fallback"] is not None:
                     subgraphs.append(payload["fallback"])
                     continue
-                seg = segments[part]
+                seg = merger.segments[part]
                 table = table_over_segment(seg, cfg.k, fresh=False)
                 table.n_occupied = int(seg["header"][HEADER_N_OCCUPIED])
                 subgraphs.append(table.to_graph())
                 table.detach_views()
         finally:
-            for seg in segments.values():
-                seg.unlink()
+            merger.unlink_segments()
         t2 = time.perf_counter()
 
+        io_seconds = merger.io_seconds
         if output_dir is not None and subgraphs:
             t_io = time.perf_counter()
             save_subgraphs(output_dir, subgraphs)
             io_seconds += time.perf_counter() - t_io
 
+        spills_done = merger.spills_done_at or t2
         graph = merge_subgraphs(subgraphs, cfg.k)
+        step1_reports = [merger.reports[w] for w in sorted(merger.reports)]
         return ParaHashResult(
             graph=graph,
             subgraphs=subgraphs,
             hash_stats=stats,
             timings=StageTimings(
-                msp_seconds=(t1 - t0) - io_seconds,
-                hashing_seconds=t2 - t1,
+                msp_seconds=spills_done - t0,
+                hashing_seconds=max(0.0,
+                                    (t2 - spills_done) - merger.io_seconds),
                 io_seconds=io_seconds,
             ),
-            n_superkmers=n_superkmers,
-            n_kmers=int(kmers_per_partition.sum()),
-            partition_bytes=partition_bytes,
+            n_superkmers=merger.n_superkmers,
+            n_kmers=int(merger.kmers_per_partition.sum()),
+            partition_bytes=merger.partition_bytes,
             config=cfg,
-            worker_records=_worker_records(reports, payload_lists),
+            worker_records=_worker_records(
+                step1_reports, [r["step2"] for r in results]
+            ),
         )
     finally:
         if tmp is not None:
             tmp.cleanup()
 
 
-def _build_pipelined(
-    reads: ReadBatch,
-    cfg,
-    chunk_bounds: list[tuple[int, int]],
-    weights: list[int],
-    step2_weights: list[int],
-    spill_dir: Path,
-    workdir: str | Path | None,
-    output_dir: str | Path | None,
-    ctx,
-    t0: float,
-):
-    """The streaming driver: one pool runs both steps, no barrier.
+def _empty_result(cfg, workdir: str | Path | None):
+    """The result of a build over zero reads.
 
-    Called from :func:`build_graph_processes` (which owns spill-dir
-    setup/teardown); returns the same :class:`ParaHashResult`.
+    With ``workdir`` set this still writes the layout of a serial
+    disk-backed run: one (empty) canonical file per partition.
     """
     from ..core.parahash import ParaHashResult, StageTimings
 
-    n_workers = cfg.workers()
-    tickets1 = ProcessTicketQueue(len(chunk_bounds), ctx)
-    ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
-    merger = _PipelineMerger(cfg, n_workers, ready, workdir)
-    batch_seg = share_read_batch(reads)
-    try:
-        try:
-            results = run_workers(
-                _pipeline_worker, n_workers, ctx=ctx,
-                args=(batch_seg.spec, chunk_bounds, tickets1, weights,
-                      step2_weights, ready, cfg.k, cfg.p, cfg.n_partitions,
-                      str(spill_dir), cfg.sizing, cfg.preaggregate),
-                on_event=merger.on_event,
-            )
-        finally:
-            batch_seg.unlink()
-            # On an error path some workers may have been terminated
-            # between a reservation and its item pickup; aborting makes
-            # any racing claim return instead of wait out its timeout.
-            ready.abort()
-
-        by_partition: dict[int, dict] = {}
-        for result in results:
-            for payload in result["step2"]:
-                by_partition[payload["partition"]] = payload
-        missing = [p for p in merger.live if p not in by_partition]
-        if missing:  # pragma: no cover - queue drain guarantees coverage
-            raise RuntimeError(
-                f"partitions {missing} were published but never hashed"
-            )
-        subgraphs: list = []
-        stats = HashStats()
-        for part in merger.live:
-            payload = by_partition[part]
-            stats = stats.merged_with(payload["stats"])
-            if payload["fallback"] is not None:
-                subgraphs.append(payload["fallback"])
-                continue
-            seg = merger.segments[part]
-            table = table_over_segment(seg, cfg.k, fresh=False)
-            table.n_occupied = int(seg["header"][HEADER_N_OCCUPIED])
-            subgraphs.append(table.to_graph())
-            table.detach_views()
-    finally:
-        merger.unlink_segments()
-    t2 = time.perf_counter()
-
-    io_seconds = merger.io_seconds
-    if output_dir is not None and subgraphs:
-        t_io = time.perf_counter()
-        save_subgraphs(output_dir, subgraphs)
-        io_seconds += time.perf_counter() - t_io
-
-    spills_done = merger.spills_done_at or t2
-    graph = merge_subgraphs(subgraphs, cfg.k)
-    step1_reports = [merger.reports[w] for w in sorted(merger.reports)]
+    t0 = time.perf_counter()
+    partition_bytes = 0
+    if workdir is not None:
+        merged = merge_spill_files([[] for _ in range(cfg.n_partitions)],
+                                   workdir, cfg.k)
+        partition_bytes = sum(os.path.getsize(path) for path in merged)
     return ParaHashResult(
-        graph=graph,
-        subgraphs=subgraphs,
-        hash_stats=stats,
-        timings=StageTimings(
-            msp_seconds=spills_done - t0,
-            hashing_seconds=max(0.0, (t2 - spills_done) - merger.io_seconds),
-            io_seconds=io_seconds,
-        ),
-        n_superkmers=merger.n_superkmers,
-        n_kmers=int(merger.kmers_per_partition.sum()),
-        partition_bytes=merger.partition_bytes,
+        graph=merge_subgraphs([], cfg.k),
+        subgraphs=[],
+        hash_stats=HashStats(),
+        timings=StageTimings(io_seconds=time.perf_counter() - t0),
+        n_superkmers=0,
+        n_kmers=0,
+        partition_bytes=partition_bytes,
         config=cfg,
-        worker_records=_worker_records(
-            step1_reports, [r["step2"] for r in results]
-        ),
     )
 
 

@@ -262,7 +262,7 @@ class TestBigKCli:
         assert rc == 0
         rc = main(["build", "--input", str(reads_file), "--k", "41",
                    "--p", "15", "--partitions", "4",
-                   "--backend", "processes", "--workers", "2", "--pipeline",
+                   "--backend", "processes", "--workers", "2",
                    "--output", str(proc_out)])
         assert rc == 0
         assert load_big_graph(proc_out).equals(load_big_graph(serial_out))

@@ -67,7 +67,8 @@ class TestAllPathsAgree:
 
     def test_parahash_threaded(self, dataset, reference):
         _, _, reads = dataset
-        cfg = ParaHashConfig(k=K, p=P, n_partitions=NP, n_threads=4)
+        cfg = ParaHashConfig(k=K, p=P, n_partitions=NP, backend="threads",
+                             n_workers=4)
         result = ParaHash(cfg).build_graph(reads)
         assert_graphs_equal(result.graph, reference, "parahash-threaded")
 
@@ -104,7 +105,7 @@ class TestAllPathsAgree:
         slow = build_reference_bigk_slow(reads, k)
         cfg = ParaHashConfig(
             k=k, p=15, n_partitions=NP, backend="processes",
-            n_workers=2, pipeline=True,
+            n_workers=2,
         )
         result = ParaHash(cfg).build_graph(reads)
         assert result.graph.equals(slow)

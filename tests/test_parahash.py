@@ -30,8 +30,6 @@ class TestConfig:
             ParaHashConfig(n_partitions=0)
         with pytest.raises(ValueError):
             ParaHashConfig(n_input_pieces=0)
-        with pytest.raises(ValueError):
-            ParaHashConfig(n_threads=0)
 
     def test_with_(self):
         cfg = ParaHashConfig().with_(p=13, n_partitions=64)
@@ -60,7 +58,8 @@ class TestEndToEnd:
         assert result.timings.io_seconds >= 0
 
     def test_coprocessed_equals_reference(self, genomic_batch):
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, n_threads=3)
+        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, backend="threads",
+                             n_workers=3)
         result = ParaHash(cfg).build_graph(genomic_batch)
         ref = build_reference_graph(genomic_batch, 15)
         assert_graphs_equal(result.graph, ref, "coprocessed")
@@ -148,6 +147,25 @@ class TestEndToEnd:
             assert len(files) == len(result.subgraphs)
             loaded = merge_subgraphs([load(f) for f in files], k)
             assert loaded.equals(result.graph), k
+
+    def test_build_from_files_threads_backend(self, genomic_batch, tmp_path):
+        # Regression: the file build used to run Step 2 on one thread
+        # whatever the backend, reporting no worker records.
+        from repro.dna.io import save_read_batch
+
+        shards = []
+        for i, piece in enumerate(genomic_batch.split(2)):
+            path = tmp_path / f"shard_{i}.fastq"
+            save_read_batch(path, piece)
+            shards.append(path)
+        cfg = ParaHashConfig(k=21, p=9, n_partitions=8, backend="threads",
+                             n_workers=3)
+        result = ParaHash(cfg).build_graph_from_files(
+            shards, workdir=tmp_path / "work"
+        )
+        ref = build_reference_graph(genomic_batch, 21)
+        assert_graphs_equal(result.graph, ref, "threads-from-files")
+        assert sorted(result.worker_records) == ["cpu0", "cpu1", "cpu2"]
 
     def test_build_from_files_requires_input(self, tmp_path):
         with pytest.raises(ValueError):

@@ -161,17 +161,9 @@ BIGK_CFG = ParaHashConfig(k=45, p=15, n_partitions=16, n_input_pieces=4)
 def test_bigk_processes_matches_serial_pipelined(genomic_batch):
     serial = ParaHash(BIGK_CFG).build_graph(genomic_batch)
     procs = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        BIGK_CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     assert serial.graph.n_vertices > 0
-    assert serial.graph.equals(procs.graph)
-
-
-def test_bigk_processes_matches_serial_barrier(clean_batch):
-    serial = ParaHash(BIGK_CFG).build_graph(clean_batch)
-    procs = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=False)
-    ).build_graph(clean_batch)
     assert serial.graph.equals(procs.graph)
 
 
@@ -209,12 +201,10 @@ def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
             return 32
 
     serial = ParaHash(BIGK_CFG).build_graph(clean_batch)
-    for pipeline in (True, False):
-        procs = ParaHash(BIGK_CFG.with_(
-            backend="processes", n_workers=2, pipeline=pipeline,
-            sizing=Undersized(),
-        )).build_graph(clean_batch)
-        assert serial.graph.equals(procs.graph)
+    procs = ParaHash(BIGK_CFG.with_(
+        backend="processes", n_workers=2, sizing=Undersized(),
+    )).build_graph(clean_batch)
+    assert serial.graph.equals(procs.graph)
 
 
 def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
@@ -251,10 +241,12 @@ def test_cross_process_cas_2w_rejects_small_k():
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 @pytest.mark.parametrize("k", [29, 30, 31, 33, 61, 63])
-def test_backend_matches_oracle_at_key_width_edges(rng, backend, k):
+def test_backend_matches_oracle_at_key_width_edges(rng, tmp_path, backend,
+                                                   k):
     """Both parallel backends equal the oracle of the key width where the
     packing tricks overflow: the top of one-word keys, both ends of
-    two-word keys."""
+    two-word keys.  Each build runs in memory and disk-backed (Step 1
+    partitions written to a workdir and read back)."""
     from repro.bigk.store import build_reference_bigk_slow
     from repro.graph.build import build_reference_graph
 
@@ -262,19 +254,24 @@ def test_backend_matches_oracle_at_key_width_edges(rng, backend, k):
                                          dtype=np.uint8))
     cfg = ParaHashConfig(k=k, p=11, n_partitions=4, backend=backend,
                          n_workers=2)
-    graph = ParaHash(cfg).build_graph(batch).graph
     if k <= 31:
-        assert_graphs_identical(build_reference_graph(batch, k), graph)
+        expected = build_reference_graph(batch, k)
     else:
-        assert graph.equals(build_reference_bigk_slow(batch, k))
+        expected = build_reference_bigk_slow(batch, k)
+    for workdir in (None, tmp_path / "work"):
+        graph = ParaHash(cfg).build_graph(batch, workdir=workdir).graph
+        if k <= 31:
+            assert_graphs_identical(expected, graph)
+        else:
+            assert graph.equals(expected)
 
 
 # -- CI backend x k matrix leg ------------------------------------------------------
 #
 # In CI the `matrix` suite runs this module with REPRO_MATRIX_K and
 # REPRO_MATRIX_BACKEND set (k in {21, 45} x backend in {serial,
-# threads, processes}); locally the k=45 cell on the pipelined
-# processes backend runs by default.
+# threads, processes}); locally the k=45 cell on the processes
+# backend runs by default.
 
 MATRIX_K = int(os.environ.get("REPRO_MATRIX_K", "45"))
 MATRIX_BACKEND = os.environ.get("REPRO_MATRIX_BACKEND", "processes")
@@ -297,9 +294,7 @@ def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
                             "--output", str(serial_out)]) == 0
     cell_out = tmp_path / "cell.phdbg"
     argv = base + ["--backend", backend, "--output", str(cell_out)]
-    if backend == "processes":
-        argv += ["--workers", "2", "--pipeline"]
-    elif backend == "threads":
+    if backend != "serial":
         argv += ["--workers", "2"]
     assert cli_main(argv) == 0
 

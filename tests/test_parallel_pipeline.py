@@ -2,14 +2,15 @@
 
 The contract: the streaming driver — one pool, spill manifests over the
 event channel, ready-queue partition claims — must produce graphs and
-on-disk artifacts byte-identical to both the barrier driver and the
-serial backend, keep crash containment (a dying Step-2 worker surfaces
+on-disk artifacts byte-identical to the serial backend, keep crash
+containment (a dying Step-2 worker surfaces
 as :class:`WorkerCrashed`, never a ready-queue hang), and pre-aggregation
 must leave ``HashStats.lock_reduction`` untouched.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
 import time
@@ -37,6 +38,17 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def shm_listing() -> set[str]:
+    """Named shared-memory segments alive now (semaphores excluded)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    gc.collect()
+    return {
+        name for name in os.listdir("/dev/shm")
+        if not name.startswith("sem.")
+    }
+
+
 def assert_graphs_identical(a, b):
     assert a.k == b.k
     assert np.array_equal(a.vertices, b.vertices)
@@ -46,16 +58,12 @@ def assert_graphs_identical(a, b):
 # -- equivalence ------------------------------------------------------------------
 
 
-def test_pipelined_matches_serial_and_barrier(genomic_batch):
-    serial = ParaHash(CFG.with_(pipeline=False)).build_graph(genomic_batch)
-    barrier = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=False)
-    ).build_graph(genomic_batch)
+def test_pipelined_matches_serial(genomic_batch):
+    serial = ParaHash(CFG).build_graph(genomic_batch)
     pipelined = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     assert serial.graph.n_vertices > 0
-    assert_graphs_identical(serial.graph, barrier.graph)
     assert_graphs_identical(serial.graph, pipelined.graph)
     assert pipelined.n_kmers == serial.n_kmers
     assert pipelined.n_superkmers == serial.n_superkmers
@@ -65,7 +73,7 @@ def test_pipelined_matches_across_worker_counts(clean_batch):
     serial = ParaHash(CFG).build_graph(clean_batch)
     for w in (1, 3):
         result = ParaHash(
-            CFG.with_(backend="processes", n_workers=w, pipeline=True)
+            CFG.with_(backend="processes", n_workers=w)
         ).build_graph(clean_batch)
         assert_graphs_identical(serial.graph, result.graph)
 
@@ -73,7 +81,7 @@ def test_pipelined_matches_across_worker_counts(clean_batch):
 def test_pipelined_without_preaggregation_matches(clean_batch):
     serial = ParaHash(CFG).build_graph(clean_batch)
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True,
+        CFG.with_(backend="processes", n_workers=2,
                   preaggregate=False)
     ).build_graph(clean_batch)
     assert_graphs_identical(serial.graph, result.graph)
@@ -84,8 +92,7 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
     outs = {}
     for label, cfg in (
         ("serial", CFG),
-        ("pipelined", CFG.with_(backend="processes", n_workers=2,
-                                pipeline=True)),
+        ("pipelined", CFG.with_(backend="processes", n_workers=2))
     ):
         work = tmp_path / label / "work"
         out = tmp_path / label / "out"
@@ -113,7 +120,7 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
 
 def test_pipelined_worker_records_cover_both_steps(genomic_batch):
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     records = result.worker_records
     assert set(records) == {"proc0", "proc1"}
@@ -121,42 +128,42 @@ def test_pipelined_worker_records_cover_both_steps(genomic_batch):
     assert all(r.items_processed > 0 for r in records.values())
 
 
-def test_pipelined_empty_input(tmp_path):
-    empty = __import__("repro.dna.reads", fromlist=["ReadBatch"]).ReadBatch(
-        codes=np.zeros((0, 50), dtype=np.uint8)
-    )
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "workdir"])
+@pytest.mark.parametrize("k", [21, 45])
+def test_pipelined_empty_input(tmp_path, monkeypatch, k, disk):
+    """Zero reads: empty graph, no pool, no shm, serial's file layout."""
+    from repro.dna.reads import ReadBatch
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an empty input must not start a pool")
+
+    monkeypatch.setattr(backend_mod, "run_workers", no_pool)
+    empty = ReadBatch(codes=np.zeros((0, 50), dtype=np.uint8))
+    cfg = CFG.with_(k=k)
+    work = tmp_path / "processes" if disk else None
+    before = shm_listing()
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
-    ).build_graph(empty)
+        cfg.with_(backend="processes", n_workers=2)
+    ).build_graph(empty, workdir=work)
     assert result.graph.n_vertices == 0
+    assert shm_listing() - before == set()
+    if disk:
+        serial_work = tmp_path / "serial"
+        ParaHash(cfg).build_graph(empty, workdir=serial_work)
+
+        def names(d):
+            return sorted(p.name for p in d.glob("partition_*.phsk"))
+
+        assert names(work) == names(serial_work)
+        assert len(names(work)) == CFG.n_partitions
 
 
-def test_calibrated_dispatch_matches_serial(clean_batch):
-    serial = ParaHash(CFG).build_graph(clean_batch)
-    result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True,
-                  calibrate=True)
-    ).build_graph(clean_batch)
-    assert_graphs_identical(serial.graph, result.graph)
-
-
-def test_explicit_step2_weights(clean_batch):
+def test_default_dispatch_matches_serial(clean_batch):
     serial = ParaHash(CFG).build_graph(clean_batch)
     result = build_graph_processes(
         clean_batch, CFG.with_(backend="processes", n_workers=2),
-        weights=[2, 1], step2_weights=[1, 3],
     )
     assert_graphs_identical(serial.graph, result.graph)
-    with pytest.raises(ValueError):
-        build_graph_processes(
-            clean_batch, CFG.with_(backend="processes", n_workers=2),
-            step2_weights=[1],
-        )
-    with pytest.raises(ValueError):
-        build_graph_processes(
-            clean_batch, CFG.with_(backend="processes", n_workers=2),
-            step2_weights=[1, 0],
-        )
 
 
 # -- pre-aggregation --------------------------------------------------------------
@@ -238,23 +245,23 @@ def _vanishing_step2(job, sizing, preaggregate):
 
 
 @needs_fork
-def test_dying_step2_worker_surfaces_workercrashed(genomic_batch, monkeypatch):
+def test_worker_dying_in_step2_surfaces_workercrashed(genomic_batch, monkeypatch):
     """A vanished Step-2 worker must become WorkerCrashed, not a hang."""
     monkeypatch.setattr(backend_mod, "_process_step2_job", _vanishing_step2)
     t0 = time.perf_counter()
     with pytest.raises(WorkerCrashed):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert time.perf_counter() - t0 < 60.0
 
 
 @needs_fork
-def test_raising_step2_worker_surfaces_workerfailed(genomic_batch, monkeypatch):
+def test_worker_raising_in_step2_surfaces_workerfailed(genomic_batch, monkeypatch):
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     with pytest.raises(WorkerFailed) as excinfo:
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert "step2 exploded" in str(excinfo.value)
 
@@ -270,44 +277,6 @@ def test_failing_merger_tears_down_pool(genomic_batch, monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="merger failed"):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert time.perf_counter() - t0 < 60.0
-
-
-# -- calibration model ------------------------------------------------------------
-
-
-def test_measure_host_rates_and_fit(genomic_batch):
-    from repro.hetsim.device import (
-        HashWork,
-        MspWork,
-        claim_weight,
-        fitted_cpu,
-        measure_host_rates,
-        scaled_gpu,
-    )
-
-    cal = measure_host_rates(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
-    assert cal.msp_bases_per_sec > 0
-    assert cal.hash_ops_per_sec > 0
-    assert cal.sample_bases > 0
-    assert cal.sample_ops > 0
-
-    cpu = fitted_cpu(cal, n_threads=1)
-    assert cpu.hash_ops_per_sec == cal.hash_ops_per_sec
-    gpu = scaled_gpu(cal)
-    # The paper's GPU:CPU-thread ratios survive re-anchoring.
-    assert gpu.hash_ops_per_sec / cpu.hash_ops_per_sec == pytest.approx(
-        1.9e8 / 6.0e6
-    )
-
-    msp = MspWork(n_reads=100, n_bases=8000, n_superkmers=0,
-                  in_bytes=8000, out_bytes=8000)
-    hashw = HashWork(n_kmers=1000, ops=3000, probes=700, inserts=250,
-                     table_bytes=1 << 16, in_bytes=1000, out_bytes=0)
-    for device in (cpu, gpu):
-        w = claim_weight(device, msp)
-        assert 1 <= w <= 8
-        w = claim_weight(device, hashw, target_seconds=0.1, max_weight=4)
-        assert 1 <= w <= 4

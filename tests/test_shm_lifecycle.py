@@ -71,19 +71,7 @@ def test_failed_pipelined_run_leaves_no_segments(genomic_batch, monkeypatch):
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
-        ).build_graph(genomic_batch)
-    assert _segments() - before == set()
-
-
-@needs_dev_shm
-@needs_fork
-def test_failed_barrier_run_leaves_no_segments(genomic_batch, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
-    before = _segments()
-    with pytest.raises(WorkerFailed):
-        ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=False)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert _segments() - before == set()
 
@@ -138,20 +126,7 @@ def test_failed_bigk_pipelined_run_leaves_no_segments(
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(
-            BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
-        ).build_graph(genomic_batch)
-    assert _segments() - before == set()
-
-
-@needs_dev_shm
-@needs_fork
-def test_failed_bigk_barrier_run_leaves_no_segments(
-        genomic_batch, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
-    before = _segments()
-    with pytest.raises(WorkerFailed):
-        ParaHash(
-            BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=False)
+            BIGK_CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert _segments() - before == set()
 
@@ -160,7 +135,7 @@ def test_failed_bigk_barrier_run_leaves_no_segments(
 def test_successful_bigk_run_leaves_no_segments(clean_batch):
     before = _segments()
     result = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        BIGK_CFG.with_(backend="processes", n_workers=2)
     ).build_graph(clean_batch)
     assert result.graph.n_vertices > 0
     assert _segments() - before == set()
@@ -184,8 +159,7 @@ backend_mod._process_step2_job = _parked_step2
 reads = simulate_reads(random_genome(3000, seed=11), n_reads=500,
                        read_length=80, mean_errors=1.0, seed=12)
 cfg = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
-ParaHash(cfg.with_(backend="processes", n_workers=2,
-                   pipeline=True)).build_graph(reads)
+ParaHash(cfg.with_(backend="processes", n_workers=2)).build_graph(reads)
 """
 
 
@@ -226,7 +200,7 @@ def test_signal_mid_run_leaves_no_segments(tmp_path, signo):
 def test_successful_run_leaves_no_segments(clean_batch):
     before = _segments()
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(clean_batch)
     assert result.graph.n_vertices > 0
     assert _segments() - before == set()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import SizingPolicy
+from repro.core.hashtable import ConcurrentHashTable
 from repro.core.subgraph import (
     block_observations,
     build_subgraph,
@@ -65,12 +66,16 @@ class TestBuildSubgraph:
             assert hashed.equals(sorted_)
 
     def test_threaded_equals_serial(self, genomic_batch):
+        # The block's own observations through the per-operation
+        # threaded protocol build the batch path's subgraph.
         k = 15
         res = partition_reads(genomic_batch, k=k, p=7, n_partitions=2)
         block = next(b for b in res.blocks if b.n_superkmers)
-        serial = build_subgraph(block, n_threads=1)
-        threaded = build_subgraph(block, n_threads=4)
-        assert threaded.graph.equals(serial.graph)
+        serial = build_subgraph(block)
+        kmers, slots = block_observations(block)
+        table = ConcurrentHashTable(serial.capacity, k)
+        table.insert_threaded(kmers, slots, n_threads=4)
+        assert table.to_graph().equals(serial.graph)
 
     def test_result_telemetry(self, genomic_batch):
         res = partition_reads(genomic_batch, k=15, p=7, n_partitions=2)
@@ -111,11 +116,6 @@ class TestBuildSubgraph:
         with pytest.raises(TableFullError):
             build_subgraph(res.blocks[0], policy=SizingPolicy(lam=0.5, alpha=0.9),
                            allow_regrow=False)
-
-    def test_threaded_build_needs_one_word_keys(self, genomic_batch):
-        res = partition_reads(genomic_batch, k=45, p=15, n_partitions=1)
-        with pytest.raises(ValueError, match="one-word"):
-            build_subgraph(res.blocks[0], n_threads=2)
 
     def test_genomic_data_never_regrows(self, genomic_batch):
         # On real coverage data the paper's sizing avoids resizing.
