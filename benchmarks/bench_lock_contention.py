@@ -120,8 +120,7 @@ def _observations(n_obs: int, seed: int = 7):
 
 
 def _graphs_equal(a, b) -> bool:
-    return (a.k == b.k and np.array_equal(a.vertices, b.vertices)
-            and np.array_equal(a.counts, b.counts))
+    return a.equals(b)
 
 
 def _time_threads(protocol: str, kmers, slots, capacity: int,

@@ -29,7 +29,7 @@ def main() -> None:
           f"total edge weight {graph.total_edge_weight():,}")
 
     # 3. Query a vertex: pick the first one and look at its neighbors.
-    v = int(graph.vertices[0])
+    v = graph.vertex_int(0)
     print(f"\nvertex {kmer_to_str(v, k)}:")
     print(f"  multiplicity: {graph.multiplicity(v)}")
     for neighbor, weight in graph.successors(v):

@@ -82,7 +82,7 @@ def build_bcalm(
         n_obs += part_obs
         peak_partition_obs = max(peak_partition_obs, part_obs)
         comparisons += part_obs * max(1.0, np.log2(max(2, part_obs)))
-    graph = merge_disjoint(subgraphs)
+    graph = merge_disjoint(subgraphs, k=k)
     n_junctions = count_junction_vertices(graph)
     #: MPHF needs ~3 scans over the keys, hashing each time.
     mphf_pass_ops = 3 * graph.n_vertices + 2 * n_junctions

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dna.kmer import revcomp_u64
+from ..dna.kmer import revcomp_u64, split_key
 
 #: Bases held by the low plane.
 LO_BASES = 32
@@ -42,8 +42,7 @@ def hi_bases(k: int) -> int:
 def split_int(kmer: int, k: int) -> tuple[int, int]:
     """Split a Python-int kmer into (hi, lo) plane values."""
     check_2w_k(k)
-    lo_mask = (1 << (2 * LO_BASES)) - 1
-    return kmer >> (2 * LO_BASES), kmer & lo_mask
+    return split_key(kmer, k)
 
 
 def join_planes(hi: int, lo: int) -> int:

@@ -1,209 +1,18 @@
-"""De Bruijn graph store for two-word (K > 31) vertices.
+"""Two-word names for the one graph store, kept for the frozen benchmark.
 
-Mirrors :class:`repro.graph.dbg.DeBruijnGraph` with vertices kept as
-parallel ``(hi, lo)`` uint64 plane arrays, sorted lexicographically by
-plane pair.  The counter layout (4 out / 4 in / multiplicity) and all
-semantics are identical to the one-word store.
+Graphs of every key width are :class:`repro.graph.dbg.DeBruijnGraph`;
+the pure-Python reference construction
+(:func:`repro.graph.build.build_reference_graph_slow`) is the ground
+truth for ``k > 31`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..graph.build import build_reference_graph_slow as build_reference_bigk_slow
+from ..graph.dbg import DeBruijnGraph
 
-import numpy as np
-
-from ..dna.kmer import canonical_int, kmer_to_str
-from ..graph.dbg import MULT_SLOT, N_SLOTS
-from .kmer2w import join_planes, split_int
+__all__ = ["BigDeBruijnGraph", "build_reference_bigk_slow"]
 
 
-@dataclass
-class BigDeBruijnGraph:
-    """A graph over two-word canonical kmer vertices."""
-
-    k: int
-    vertices_hi: np.ndarray
-    vertices_lo: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.vertices_hi = np.asarray(self.vertices_hi, dtype=np.uint64)
-        self.vertices_lo = np.asarray(self.vertices_lo, dtype=np.uint64)
-        self.counts = np.asarray(self.counts, dtype=np.uint64)  # checks: allow[R1] immutable result store: graphs are built once, then only read
-        n = self.vertices_hi.size
-        if self.vertices_lo.shape != (n,):
-            raise ValueError("plane arrays must be parallel")
-        if self.counts.shape != (n, N_SLOTS):  # checks: allow[R1] immutable result store: graphs are built once, then only read
-            raise ValueError(f"counts must be ({n}, {N_SLOTS})")
-        if n > 1:
-            hi, lo = self.vertices_hi, self.vertices_lo
-            ordered = (hi[:-1] < hi[1:]) | ((hi[:-1] == hi[1:]) & (lo[:-1] < lo[1:]))
-            if not ordered.all():
-                raise ValueError("vertices must be strictly sorted by (hi, lo)")
-
-    @property
-    def n_vertices(self) -> int:
-        return int(self.vertices_hi.size)
-
-    def __len__(self) -> int:
-        return self.n_vertices
-
-    def total_kmer_instances(self) -> int:
-        return int(self.counts[:, MULT_SLOT].sum())  # checks: allow[R1] immutable result store: graphs are built once, then only read
-
-    def n_duplicate_vertices(self) -> int:
-        return self.total_kmer_instances() - self.n_vertices
-
-    def total_edge_weight(self) -> int:
-        return int(self.counts[:, :MULT_SLOT].sum())  # checks: allow[R1] immutable result store: graphs are built once, then only read
-
-    def index_of(self, kmer: int) -> int:
-        """Row of a canonical kmer (Python int), or -1."""
-        hi, lo = split_int(int(kmer), self.k)
-        left = int(np.searchsorted(self.vertices_hi, np.uint64(hi), side="left"))
-        right = int(np.searchsorted(self.vertices_hi, np.uint64(hi), side="right"))
-        if left == right:
-            return -1
-        sub = self.vertices_lo[left:right]
-        j = int(np.searchsorted(sub, np.uint64(lo)))
-        if j < sub.size and int(sub[j]) == lo:
-            return left + j
-        return -1
-
-    def __contains__(self, kmer: int) -> bool:
-        return self.index_of(kmer) >= 0
-
-    def multiplicity(self, kmer: int) -> int:
-        i = self.index_of(kmer)
-        return int(self.counts[i, MULT_SLOT]) if i >= 0 else 0  # checks: allow[R1] immutable result store: graphs are built once, then only read
-
-    def vertex_int(self, i: int) -> int:
-        """Vertex row ``i`` as a Python-int kmer."""
-        return join_planes(self.vertices_hi[i], self.vertices_lo[i])
-
-    def vertex_str(self, i: int) -> str:
-        return kmer_to_str(self.vertex_int(i), self.k)
-
-    def successors(self, kmer: int) -> list[tuple[int, int]]:
-        """``(canonical neighbor, weight)`` per non-zero out slot."""
-        return self._neighbors(kmer, out_side=True)
-
-    def predecessors(self, kmer: int) -> list[tuple[int, int]]:
-        return self._neighbors(kmer, out_side=False)
-
-    def _neighbors(self, kmer: int, out_side: bool) -> list[tuple[int, int]]:
-        i = self.index_of(kmer)
-        if i < 0:
-            return []
-        mask = (1 << (2 * self.k)) - 1
-        base_slot = 0 if out_side else 4
-        result = []
-        for b in range(4):
-            weight = int(self.counts[i, base_slot + b])  # checks: allow[R1] immutable result store: graphs are built once, then only read
-            if not weight:
-                continue
-            if out_side:
-                neighbor = ((int(kmer) << 2) | b) & mask
-            else:
-                neighbor = (b << (2 * (self.k - 1))) | (int(kmer) >> 2)
-            result.append((canonical_int(neighbor, self.k), weight))
-        return result
-
-    def equals(self, other: "BigDeBruijnGraph") -> bool:
-        return (
-            self.k == other.k
-            and bool(np.array_equal(self.vertices_hi, other.vertices_hi))
-            and bool(np.array_equal(self.vertices_lo, other.vertices_lo))
-            and bool(np.array_equal(self.counts, other.counts))  # checks: allow[R1] immutable result store: graphs are built once, then only read
-        )
-
-    def describe(self) -> dict:
-        return {
-            "k": self.k,
-            "n_vertices": self.n_vertices,
-            "n_duplicates": self.n_duplicate_vertices(),
-            "total_edge_weight": self.total_edge_weight(),
-        }
-
-
-def empty_bigk_graph(k: int) -> BigDeBruijnGraph:
-    """A zero-vertex two-word graph pinned to ``k``."""
-    return BigDeBruijnGraph(
-        k=k,
-        vertices_hi=np.zeros(0, dtype=np.uint64),
-        vertices_lo=np.zeros(0, dtype=np.uint64),
-        counts=np.zeros((0, N_SLOTS), dtype=np.uint64),
-    )
-
-
-def graph_from_plane_pairs(
-    k: int, hi: np.ndarray, lo: np.ndarray, slots: np.ndarray
-) -> BigDeBruijnGraph:
-    """Aggregate ``(hi, lo, slot)`` observations (two-word sort-merge)."""
-    hi = np.asarray(hi, dtype=np.uint64).ravel()
-    lo = np.asarray(lo, dtype=np.uint64).ravel()
-    slots = np.asarray(slots, dtype=np.int64).ravel()
-    if not (hi.shape == lo.shape == slots.shape):
-        raise ValueError("hi, lo and slots must be parallel arrays")
-    if slots.size and (slots.min() < 0 or slots.max() >= N_SLOTS):
-        raise ValueError("slot values must be in [0, 9)")
-    if hi.size == 0:
-        return BigDeBruijnGraph(
-            k=k,
-            vertices_hi=np.zeros(0, dtype=np.uint64),
-            vertices_lo=np.zeros(0, dtype=np.uint64),
-            counts=np.zeros((0, N_SLOTS), dtype=np.uint64),
-        )
-    order = np.lexsort((lo, hi))
-    shi, slo = hi[order], lo[order]
-    boundary = np.ones(shi.size, dtype=bool)
-    boundary[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-    group = np.cumsum(boundary) - 1  # group id per sorted observation
-    starts = np.nonzero(boundary)[0]
-    n_groups = starts.size
-    counts = np.zeros((n_groups, N_SLOTS), dtype=np.uint64)
-    np.add.at(counts, (group, slots[order]), 1)
-    return BigDeBruijnGraph(
-        k=k, vertices_hi=shi[starts], vertices_lo=slo[starts], counts=counts
-    )
-
-
-def build_reference_bigk_slow(reads, k: int) -> BigDeBruijnGraph:
-    """Pure-Python reference construction for K > 31 (ground truth)."""
-    from ..dna.kmer import iter_kmers
-    from ..graph.dbg import IN_BASE, OUT_BASE
-
-    table: dict[int, np.ndarray] = {}
-
-    def row(v: int) -> np.ndarray:
-        r = table.get(v)
-        if r is None:
-            r = np.zeros(N_SLOTS, dtype=np.uint64)
-            table[v] = r
-        return r
-
-    for r_i in range(reads.n_reads):
-        codes = reads.codes[r_i]
-        kmers = list(iter_kmers(codes, k))
-        canon = [canonical_int(km, k) for km in kmers]
-        flip = [c != km for c, km in zip(canon, kmers)]
-        for j, c in enumerate(canon):
-            row(c)[MULT_SLOT] += 1
-            if j + 1 < len(kmers):
-                b = int(codes[j + k])
-                slot = (IN_BASE + (3 - b)) if flip[j] else (OUT_BASE + b)
-                row(c)[slot] += 1
-            if j > 0:
-                b = int(codes[j - 1])
-                slot = (OUT_BASE + (3 - b)) if flip[j] else (IN_BASE + b)
-                row(c)[slot] += 1
-
-    vertices = sorted(table)
-    hi = np.array([split_int(v, k)[0] for v in vertices], dtype=np.uint64)
-    lo = np.array([split_int(v, k)[1] for v in vertices], dtype=np.uint64)
-    counts = (
-        np.stack([table[v] for v in vertices])
-        if vertices
-        else np.zeros((0, N_SLOTS), dtype=np.uint64)
-    )
-    return BigDeBruijnGraph(k=k, vertices_hi=hi, vertices_lo=lo, counts=counts)
+def BigDeBruijnGraph(k, vertices_hi, vertices_lo, counts) -> DeBruijnGraph:
+    return DeBruijnGraph(k, (vertices_hi, vertices_lo), counts)

@@ -9,9 +9,9 @@ lock, and OCCUPIED is published; from then on the two words are
 immutable and read without synchronization.
 
 Only what depends on the key encoding lives here: the per-operation
-protocols, lookups, the lock-free fingerprint tag and ``to_graph``.  The
-vectorized batch path, the threaded plumbing and the shared-memory
-attach are the width-generic :class:`repro.core.hashtable.PlaneHashTable`,
+protocols, lookups and the lock-free fingerprint tag.  The
+vectorized batch path, the threaded plumbing, the shared-memory attach
+and ``to_graph`` are the width-generic :class:`repro.core.hashtable.PlaneHashTable`,
 so both paths produce identical tables and meter the same
 :class:`repro.core.hashtable.HashStats`.
 """
@@ -36,7 +36,6 @@ from ..core.hashtable import (
     _trace,
 )
 from .kmer2w import check_2w_k, split_int
-from .store import BigDeBruijnGraph
 
 # Lock-free tag-plane encoding.  A two-word key cannot live in one
 # atomic word, so the claim CAS installs a *fingerprint* of the key
@@ -61,7 +60,8 @@ class TwoWordHashTable(PlaneHashTable):
     words) waits for publication before the full key compare.
 
     Everything else — batch inserts, the threaded plumbing, the
-    shared-memory attach — is :class:`repro.core.hashtable.PlaneHashTable`.
+    shared-memory attach, ``to_graph`` — is
+    :class:`repro.core.hashtable.PlaneHashTable`.
     """
 
     KEY_ARRAYS = ("keys_hi", "keys_lo")
@@ -263,14 +263,3 @@ class TwoWordHashTable(PlaneHashTable):
                     and int(self.keys_lo[pos]) == lo):  # checks: allow[R1] immutable after publication-bit store
                 return self.counts[pos].copy()  # checks: allow[R1] racy snapshot of monotonic counters
             offset += 1
-
-    def to_graph(self) -> BigDeBruijnGraph:
-        occ = self._state_view() == OCCUPIED
-        hi = self.keys_hi[occ]  # checks: allow[R1] quiescent read-out after all inserts joined
-        lo = self.keys_lo[occ]  # checks: allow[R1] quiescent read-out after all inserts joined
-        counts = self.counts[occ].astype(np.uint64)  # checks: allow[R1] quiescent read-out after all inserts joined
-        order = np.lexsort((lo, hi))
-        return BigDeBruijnGraph(
-            k=self.k, vertices_hi=hi[order], vertices_lo=lo[order],
-            counts=counts[order],
-        )

@@ -31,7 +31,7 @@ from .dna.io import load_read_batch, save_read_batch, write_fasta
 from .dna.io import SequenceRecord
 from .dna.simulate import PROFILES, DatasetProfile, genome_to_str
 from .graph.compact import compact_unitigs, compaction_stats
-from .graph.serialize import export_tsv, load_graph, save_any_graph
+from .graph.serialize import export_tsv, load_graph, save_graph
 from .hetsim.transfer import memory_cached_disk, spinning_disk
 from .hetsim.workloads import measure_workloads, simulate_parahash
 from .util.tables import render_table
@@ -178,17 +178,8 @@ def _build_config(args: argparse.Namespace, p: int) -> ParaHashConfig:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    two_word = args.k > 31
-    if two_word and args.min_multiplicity > 1:
-        print("error: --min-multiplicity is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
-    if two_word and args.tsv:
-        print("error: --tsv export is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
     try:
-        config = _build_config(args, min(args.p, 31) if two_word else args.p)
+        config = _build_config(args, min(args.p, 31) if args.k > 31 else args.p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -199,10 +190,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     graph = result.graph
     if args.min_multiplicity > 1:
         graph = graph.filter_min_multiplicity(args.min_multiplicity)
-    n_bytes = save_any_graph(args.output, graph)
-    detail = (f"two-word keys, k={args.k}" if two_word else
-              f"{result.graph.n_duplicate_vertices():,} duplicates merged")
-    print(f"{graph.n_vertices:,} vertices ({detail}) "
+    n_bytes = save_graph(args.output, graph)
+    print(f"{graph.n_vertices:,} vertices "
+          f"({result.graph.n_duplicate_vertices():,} duplicates merged, "
+          f"{len(graph.planes)} key plane(s)) "
           f"-> {args.output} ({n_bytes:,} bytes)")
     print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
           f"hashing {result.timings.hashing_seconds:.2f}s, "
@@ -215,16 +206,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .bigk import detect_graph_format, load_big_graph
-
-    if detect_graph_format(args.graph) == "2w":
-        graph = load_big_graph(args.graph)
-        print(render_table(
-            ["property", "value"],
-            [[key, value] for key, value in graph.describe().items()],
-            title=f"graph {args.graph} (two-word keys)",
-        ))
-        return 0
     graph = load_graph(args.graph)
     d = graph.describe()
     print(render_table(

@@ -92,7 +92,7 @@ def count_kmers_partitioned(
         if block.n_superkmers == 0:
             continue
         sub = build_subgraph(block, policy=policy)
-        pieces.append((sub.graph.vertices, sub.graph.counts[:, MULT_SLOT]))
+        pieces.append((sub.graph.planes[0], sub.graph.counts[:, MULT_SLOT]))
     if not pieces:
         return KmerCountTable(k=k, kmers=np.zeros(0, dtype=np.uint64),
                               counts=np.zeros(0, dtype=np.uint64))

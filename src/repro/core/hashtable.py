@@ -68,7 +68,7 @@ from ..concurrentsub import atomics
 from ..concurrentsub.atomics import AtomicInt64Array, TracedLock
 from ..concurrentsub.hashfunc import hash_planes, mix64_int
 from ..dna.kmer import key_planes
-from ..graph.dbg import MULT_SLOT, N_SLOTS, DeBruijnGraph
+from ..graph.dbg import MULT_SLOT, N_SLOTS, DeBruijnGraph, plane_order
 from .estimator import next_power_of_two
 
 EMPTY = 0
@@ -228,11 +228,11 @@ class PlaneHashTable:
     The width-independent half of the §III-C table: construction,
     the vectorized batch path, the threaded-mode plumbing (atomic
     occupancy plane, counter locks, mirror re-sync) and the quiescent
-    queries.  A subclass names its key arrays in :attr:`KEY_ARRAYS` and
-    supplies what depends on the key encoding: the per-operation
-    protocols (``insert_one_threadsafe``, ``_insert_one``,
-    ``_insert_one_lockfree``), ``lookup``, the lock-free tag of an
-    occupied slot (:meth:`_published_tags`) and ``to_graph``.
+    queries, ``to_graph`` among them.  A subclass names its key arrays
+    in :attr:`KEY_ARRAYS` and supplies what depends on the key encoding:
+    the per-operation protocols (``insert_one_threadsafe``,
+    ``_insert_one``, ``_insert_one_lockfree``), ``lookup`` and the
+    lock-free tag of an occupied slot (:meth:`_published_tags`).
 
     ``protocol="locked"`` (default) runs the paper's state-transfer
     partial locking; ``protocol="lockfree"`` the CAS-publish protocol
@@ -621,6 +621,15 @@ class PlaneHashTable:
             return snap.astype(np.int8)
         return self.state
 
+    def to_graph(self) -> DeBruijnGraph:
+        """Extract the subgraph: occupied entries sorted by vertex."""
+        occ = self._state_view() == OCCUPIED
+        planes = [plane[occ] for plane in self._key_arrays()]
+        counts = self.counts[occ].astype(np.uint64)
+        order = plane_order(planes)
+        return DeBruijnGraph(self.k, tuple(p[order] for p in planes),
+                             counts[order])
+
     def multiplicity_histogram(self, max_mult: int = 16) -> np.ndarray:
         """Histogram of vertex multiplicities (error-filtering diagnostics)."""
         occ = self._state_view() == OCCUPIED
@@ -853,11 +862,3 @@ class ConcurrentHashTable(PlaneHashTable):
             if st == OCCUPIED and int(self.keys[pos]) == kmer:  # checks: allow[R1] immutable after OCCUPIED publication
                 return self.counts[pos].copy()  # checks: allow[R1] racy snapshot of monotonic counters
         return None
-
-    def to_graph(self) -> DeBruijnGraph:
-        """Extract the subgraph: occupied entries sorted by vertex."""
-        occ = self._state_view() == OCCUPIED
-        vertices = self.keys[occ]
-        counts = self.counts[occ].astype(np.uint64)
-        order = np.argsort(vertices)
-        return DeBruijnGraph(k=self.k, vertices=vertices[order], counts=counts[order])

@@ -21,7 +21,7 @@ from pathlib import Path
 from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
-from ..graph.merge import merge_subgraphs
+from ..graph.merge import merge_disjoint
 from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock
@@ -47,10 +47,9 @@ class StageTimings:
 class ParaHashResult:
     """Everything a ParaHash run produced.
 
-    For big-k runs (``config.k > 31``) ``graph``/``subgraphs`` hold
-    :class:`repro.bigk.store.BigDeBruijnGraph` instances instead; the
-    two stores share the counter layout and the describe/compare
-    surface.
+    ``graph`` and ``subgraphs`` are :class:`DeBruijnGraph` instances
+    over the ``W`` key planes of ``config.k`` (one for ``k <= 31``, two
+    for ``33 <= k <= 63``).
     """
 
     graph: DeBruijnGraph
@@ -78,7 +77,13 @@ class ParaHashResult:
 
 
 class ParaHash:
-    """Facade over the two-step construction workflow."""
+    """Facade over the two-step construction workflow.
+
+    Builds any ``k <= 63`` except 32.  At every key width the graph and
+    subgraphs it returns are :class:`DeBruijnGraph` instances over
+    ``W = key_planes(k)`` key planes, written by
+    :func:`repro.graph.serialize.save_graph` in the one PHDB format.
+    """
 
     def __init__(self, config: ParaHashConfig | None = None) -> None:
         self.config = config or ParaHashConfig()
@@ -210,7 +215,7 @@ class ParaHash:
             t_io = time.perf_counter()
             save_subgraphs(output_dir, subgraphs)
             io_seconds += time.perf_counter() - t_io
-        graph = merge_subgraphs(subgraphs, cfg.k)
+        graph = merge_disjoint(subgraphs, k=cfg.k)
         stats = HashStats()
         for r in subgraph_results:
             stats = stats.merged_with(r.stats)
@@ -279,7 +284,7 @@ class ParaHash:
         subgraphs = [r.graph for r in subgraph_results]
         if output_dir is not None and subgraphs:
             save_subgraphs(output_dir, subgraphs)
-        graph = merge_subgraphs(subgraphs, cfg.k)
+        graph = merge_disjoint(subgraphs, k=cfg.k)
         t2 = time.perf_counter()
         stats = HashStats()
         for r in subgraph_results:
@@ -306,8 +311,8 @@ def build_debruijn_graph(
 ) -> DeBruijnGraph:
     """One-call convenience API: reads in, De Bruijn graph out.
 
-    Any ``k`` up to 63 (except 32); for ``k > 31`` the result is a
-    :class:`repro.bigk.store.BigDeBruijnGraph`.
+    Any ``k`` up to 63 (except 32); for ``k > 31`` the graph holds two
+    key planes.
     """
     config = ParaHashConfig(k=k, p=p, n_partitions=n_partitions)
     return ParaHash(config).build_graph(reads, workdir=workdir).graph

@@ -146,8 +146,8 @@ def preaggregate_observations(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class SubgraphResult:
     """One constructed subgraph plus its construction telemetry.
 
-    ``graph`` is a :class:`DeBruijnGraph` for ``k <= 31`` and a
-    :class:`repro.bigk.store.BigDeBruijnGraph` for two-word keys.
+    ``graph`` is a :class:`DeBruijnGraph` over the ``W`` key planes of
+    ``k``, like every graph.
     """
 
     graph: DeBruijnGraph
@@ -225,9 +225,4 @@ def build_subgraph_sortmerge(block: SuperkmerBlock):
     Used by baselines and as an independent oracle for the hash path,
     at either key width.
     """
-    *planes, slots = block_observations(block)
-    if len(planes) == 1:
-        return graph_from_pairs(block.k, planes[0], slots)
-    from ..bigk.store import graph_from_plane_pairs
-
-    return graph_from_plane_pairs(block.k, *planes, slots)
+    return graph_from_pairs(block.k, *block_observations(block))

@@ -76,6 +76,27 @@ def key_plane_bases(k: int) -> tuple[int, ...]:
     return (k - _WORD_BASES, _WORD_BASES)
 
 
+def split_key(kmer: int, k: int) -> tuple[int, ...]:
+    """A Python-int kmer as its key-plane values, most significant first.
+
+    The top plane is not masked, so a value beyond ``4**k`` stays out of
+    range instead of aliasing a valid kmer.
+    """
+    values = []
+    for bases in reversed(key_plane_bases(k)[1:]):
+        values.append(kmer & ((1 << (2 * bases)) - 1))
+        kmer >>= 2 * bases
+    return (kmer, *reversed(values))
+
+
+def join_key(values, k: int) -> int:
+    """Inverse of :func:`split_key`: key-plane values back to one int."""
+    kmer = 0
+    for value, bases in zip(values, key_plane_bases(k)):
+        kmer = (kmer << (2 * bases)) | int(value)
+    return kmer
+
+
 def _check_u64_k(k: int) -> None:
     _check_k(k)
     if k > MAX_U64_K:

@@ -25,6 +25,7 @@ from .dbg import (
     OUT_BASE,
     DeBruijnGraph,
     graph_from_pairs,
+    planes_from_ints,
     slot_for_predecessor,
     slot_for_successor,
 )
@@ -76,7 +77,10 @@ def build_graph_from_observations(
 
 
 def build_reference_graph_slow(reads: ReadBatch, k: int) -> DeBruijnGraph:
-    """Per-read pure-Python construction; O(N L K), small inputs only."""
+    """Per-read pure-Python construction; O(N L K), small inputs only.
+
+    Python-int kmers make it the ground truth at every key width.
+    """
     table: dict[int, np.ndarray] = {}
 
     def counter(v: int) -> np.ndarray:
@@ -102,10 +106,10 @@ def build_reference_graph_slow(reads: ReadBatch, k: int) -> DeBruijnGraph:
                 slot = (OUT_BASE + (3 - b_prev)) if flip[j] else (IN_BASE + b_prev)
                 counter(c)[slot] += 1
 
-    vertices = np.array(sorted(table), dtype=np.uint64)
+    vertices = sorted(table)
     counts = (
-        np.stack([table[int(v)] for v in vertices])
-        if vertices.size
+        np.stack([table[v] for v in vertices])
+        if vertices
         else np.zeros((0, N_SLOTS), dtype=np.uint64)
     )
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    return DeBruijnGraph(k, planes_from_ints(vertices, k), counts)

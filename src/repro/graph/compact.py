@@ -85,11 +85,13 @@ def _step(vertex: int, side: int, base: int, k: int) -> tuple[int, int, bool]:
 
 
 class _GraphIndex:
-    """Row lookup for traversal (dict is faster than bisect per step)."""
+    """Python-int vertices and their row lookup for traversal (a dict is
+    faster than bisect per step)."""
 
     def __init__(self, graph: DeBruijnGraph) -> None:
         self.graph = graph
-        self.rows = {int(v): i for i, v in enumerate(graph.vertices)}
+        self.vertices = graph.vertex_ints()
+        self.rows = {v: i for i, v in enumerate(self.vertices)}
 
     def row(self, vertex: int) -> int | None:
         return self.rows.get(vertex)
@@ -111,7 +113,7 @@ def _walk(index: _GraphIndex, start_row: int, start_side: int,
         edges = _edges_on_side(graph.counts[row], side)
         if len(edges) != 1:
             return path
-        vertex = int(graph.vertices[row])
+        vertex = index.vertices[row]
         base = edges[0]
         neighbor, entry_side, _ = _step(vertex, side, base, k)
         nrow = index.row(neighbor)
@@ -126,21 +128,21 @@ def _walk(index: _GraphIndex, start_row: int, start_side: int,
         row, side = nrow, exit_side
 
 
-def _spell(graph: DeBruijnGraph, rows_and_sides: list[tuple[int, int]]) -> np.ndarray:
+def _spell(index: _GraphIndex, rows_and_sides: list[tuple[int, int]]) -> np.ndarray:
     """Spell the unitig sequence from the ordered (row, exit_side) chain.
 
     The first element's orientation anchors the spelling: a vertex
     exited through OUT is spelled forward, through IN reversed.
     """
-    k = graph.k
+    k = index.graph.k
     first_row, first_exit = rows_and_sides[0]
-    first = int(graph.vertices[first_row])
+    first = index.vertices[first_row]
     if first_exit == SIDE_OUT:
         seq = list(int_to_codes(first, k))
     else:
         seq = list(int_to_codes(revcomp_int(first, k), k))
     for row, exit_side in rows_and_sides[1:]:
-        vertex = int(graph.vertices[row])
+        vertex = index.vertices[row]
         spelled = vertex if exit_side == SIDE_OUT else revcomp_int(vertex, k)
         seq.append(int(spelled & 0x3))
     return np.array(seq, dtype=np.uint8)
@@ -172,7 +174,7 @@ def compact_unitigs(graph: DeBruijnGraph) -> list[Unitig]:
         ]
         chain.append((row, SIDE_OUT))
         chain.extend(forward)
-        bases = _spell(graph, chain)
+        bases = _spell(index, chain)
         rows = tuple(r for r, _ in chain)
         mean_mult = float(np.mean([graph.counts[r, MULT_SLOT] for r in rows]))
         unitigs.append(

@@ -6,10 +6,10 @@ compared without any alignment — vertices private to one graph mark the
 sequence that differs.  Works on the sorted vertex arrays directly, so
 comparisons are O(n) and memory-light.
 
-Big-k graphs (:class:`repro.bigk.store.BigDeBruijnGraph`) compare the
-same way: their ``(hi, lo)`` plane pairs are viewed as a structured
-array whose element order equals the store's (hi-major) sort order, so
-every set operation below works unchanged.
+Graphs of every key width compare the same way: at W > 1 the key
+planes are viewed as one structured array whose element order equals
+the store's (:meth:`DeBruijnGraph.vertex_keys`), so every set operation
+below works unchanged.
 """
 
 from __future__ import annotations
@@ -45,31 +45,11 @@ class GraphComparison:
         return self.n_shared / total_a if total_a else 1.0
 
 
-#: Structured view dtype for two-word vertices; hi first so structured
-#: comparison order matches BigDeBruijnGraph's lexsort((lo, hi)) order.
-_PLANE_PAIR_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8")])
-
-
-def _vertex_view(g) -> np.ndarray:
-    """A graph's sorted vertex array, one- or two-word.
-
-    One-word graphs expose ``vertices`` directly; big-k graphs get a
-    zero-copy-ish structured view over their ``(hi, lo)`` planes whose
-    sort order matches the store's invariant.
-    """
-    if hasattr(g, "vertices"):
-        return g.vertices
-    view = np.empty(g.n_vertices, dtype=_PLANE_PAIR_DTYPE)
-    view["hi"] = g.vertices_hi
-    view["lo"] = g.vertices_lo
-    return view
-
-
 def compare_graphs(a: DeBruijnGraph, b: DeBruijnGraph) -> GraphComparison:
     """Compute shared / private vertex sets of two graphs."""
     if a.k != b.k:
         raise ValueError(f"cannot compare graphs with different k: {a.k} != {b.k}")
-    va, vb = _vertex_view(a), _vertex_view(b)
+    va, vb = a.vertex_keys(), b.vertex_keys()
     shared = np.intersect1d(va, vb, assume_unique=True)
     only_a = np.setdiff1d(va, shared, assume_unique=True)
     only_b = np.setdiff1d(vb, shared, assume_unique=True)
@@ -92,8 +72,8 @@ def multiplicity_correlation(a: DeBruijnGraph, b: DeBruijnGraph) -> float:
     comparison = compare_graphs(a, b)
     if comparison.n_shared < 2:
         return 0.0
-    ia = np.searchsorted(_vertex_view(a), comparison.shared_vertices)
-    ib = np.searchsorted(_vertex_view(b), comparison.shared_vertices)
+    ia = np.searchsorted(a.vertex_keys(), comparison.shared_vertices)
+    ib = np.searchsorted(b.vertex_keys(), comparison.shared_vertices)
     ma = a.counts[ia, MULT_SLOT].astype(float)
     mb = b.counts[ib, MULT_SLOT].astype(float)
     if ma.std() == 0 or mb.std() == 0:
@@ -110,11 +90,11 @@ def variant_regions(a: DeBruijnGraph, b: DeBruijnGraph,
     privates that are usually just that sample's sequencing errors.
     """
     comparison = compare_graphs(a, b)
-    ia = np.searchsorted(_vertex_view(a), comparison.only_a)
+    ia = np.searchsorted(a.vertex_keys(), comparison.only_a)
     solid_a = comparison.only_a[
         a.counts[ia, MULT_SLOT] >= np.uint64(min_multiplicity)
     ]
-    ib = np.searchsorted(_vertex_view(b), comparison.only_b)
+    ib = np.searchsorted(b.vertex_keys(), comparison.only_b)
     solid_b = comparison.only_b[
         b.counts[ib, MULT_SLOT] >= np.uint64(min_multiplicity)
     ]

@@ -20,17 +20,28 @@ slot   meaning (relative to the canonical-forward orientation)
 8      multiplicity of the vertex itself (kmer occurrence count)
 ====== =========================================================
 
-The store is a pair of parallel arrays sorted by vertex value, which
-makes graphs directly comparable, mergeable and binary-searchable.
+The store is ``W`` parallel uint64 key planes (one for ``k <= 31``, two
+for ``33 <= k <= 63``; :func:`repro.dna.kmer.key_planes`) plus the
+counter matrix, sorted by vertex, which makes graphs of every width
+directly comparable, mergeable and binary-searchable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dna.kmer import kmer_mask, kmer_to_str, revcomp_int
+from ..dna.kmer import (
+    canonical_int,
+    join_key,
+    key_plane_bases,
+    key_planes,
+    kmer_mask,
+    kmer_to_str,
+    split_key,
+)
 
 #: Number of counters per vertex: 4 out-edges, 4 in-edges, multiplicity.
 N_SLOTS = 9
@@ -59,41 +70,79 @@ def slot_for_predecessor(flipped: np.ndarray, prev_base: np.ndarray) -> np.ndarr
     return np.where(flipped, OUT_BASE + (3 - prev_base), IN_BASE + prev_base)
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class DeBruijnGraph:
-    """A constructed De Bruijn (sub)graph.
+    """A constructed De Bruijn (sub)graph over ``W`` key planes.
 
     Attributes
     ----------
     k:
         Kmer length of the vertices.
-    vertices:
-        Sorted ``uint64`` array of distinct canonical kmers.
+    planes:
+        ``W = key_planes(k)`` parallel ``uint64`` arrays holding the
+        distinct canonical kmers, most significant plane first
+        (:func:`repro.dna.kmer.key_plane_bases`), strictly sorted by
+        plane tuple.  W = 1 for ``k <= 31``, W = 2 for ``33 <= k <= 63``.
     counts:
         ``(n_vertices, 9)`` uint64 counter matrix (see module docstring).
+
+    ``DeBruijnGraph(k, vertices=..., counts=...)`` is the one-plane
+    spelling of ``DeBruijnGraph(k, (vertices,), counts)``.
     """
 
     k: int
-    vertices: np.ndarray
+    planes: tuple[np.ndarray, ...]
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=np.uint64)
-        self.counts = np.asarray(self.counts, dtype=np.uint64)
-        if self.counts.shape != (self.vertices.size, N_SLOTS):
+    def __init__(self, k: int, planes: Sequence[np.ndarray] = (),
+                 counts: np.ndarray | None = None, *,
+                 vertices: np.ndarray | None = None) -> None:
+        if vertices is not None:
+            planes = (vertices,)
+        self.k = k
+        self.planes = tuple(np.asarray(p, dtype=np.uint64) for p in planes)
+        self.counts = np.asarray(counts, dtype=np.uint64)
+        width = key_planes(k)
+        if len(self.planes) != width:
             raise ValueError(
-                f"counts shape {self.counts.shape} does not match "
-                f"({self.vertices.size}, {N_SLOTS})"
+                f"k={k} needs {width} key plane(s), got {len(self.planes)}"
             )
-        if self.vertices.size > 1 and not (self.vertices[1:] > self.vertices[:-1]).all():
+        n = self.planes[0].size
+        if any(p.shape != (n,) for p in self.planes):
+            raise ValueError("key planes must be parallel 1-D arrays")
+        if self.counts.shape != (n, N_SLOTS):
+            raise ValueError(
+                f"counts shape {self.counts.shape} does not match ({n}, {N_SLOTS})"
+            )
+        if not _strictly_sorted(self.planes):
             raise ValueError("vertices must be strictly sorted")
+
+    # -- one-plane and two-plane spellings read by perfbench ----------------
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self._named_plane(1, 0)
+
+    @property
+    def vertices_hi(self) -> np.ndarray:
+        return self._named_plane(2, 0)
+
+    @property
+    def vertices_lo(self) -> np.ndarray:
+        return self._named_plane(2, 1)
+
+    def _named_plane(self, width: int, i: int) -> np.ndarray:
+        if len(self.planes) != width:
+            raise AttributeError(f"a k={self.k} graph has {len(self.planes)} "
+                                 f"key plane(s), not {width}")
+        return self.planes[i]
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
         """Number of distinct vertices (the paper's graph-size metric)."""
-        return int(self.vertices.size)
+        return int(self.counts.shape[0])
 
     def total_kmer_instances(self) -> int:
         """Total kmer occurrences absorbed (distinct + duplicates)."""
@@ -118,11 +167,49 @@ class DeBruijnGraph:
         return self.index_of(int(kmer)) >= 0
 
     def index_of(self, kmer: int) -> int:
-        """Row index of a canonical kmer, or -1 when absent."""
-        i = int(np.searchsorted(self.vertices, np.uint64(kmer)))
-        if i < self.vertices.size and int(self.vertices[i]) == int(kmer):
+        """Row index of a canonical kmer (a Python int), or -1 when absent.
+
+        Narrows the row range plane by plane, then binary-searches the
+        least significant plane.
+        """
+        *values, last = split_key(int(kmer), self.k)
+        lo, hi = 0, self.n_vertices
+        for plane, value in zip(self.planes, values):
+            seg = plane[lo:hi]
+            lo, hi = (lo + int(np.searchsorted(seg, np.uint64(value), "left")),
+                      lo + int(np.searchsorted(seg, np.uint64(value), "right")))
+        plane = self.planes[-1]
+        i = lo + int(np.searchsorted(plane[lo:hi], np.uint64(last)))
+        if i < hi and int(plane[i]) == last:
             return i
         return -1
+
+    def vertex_int(self, i: int) -> int:
+        """Vertex row ``i`` as a Python-int kmer."""
+        return join_key([plane[i] for plane in self.planes], self.k)
+
+    def vertex_ints(self) -> list[int]:
+        """Every vertex as a Python-int kmer, in row order."""
+        ints = self.planes[0].tolist()
+        for plane, bases in zip(self.planes[1:], key_plane_bases(self.k)[1:]):
+            shift = 2 * bases
+            ints = [(v << shift) | p for v, p in zip(ints, plane.tolist())]
+        return ints
+
+    def vertex_keys(self) -> np.ndarray:
+        """One sortable array of the vertices, in row order.
+
+        The plane itself when W = 1; otherwise a structured view with
+        one field per plane, most significant first, so numpy's
+        field-by-field order equals the store's.
+        """
+        if len(self.planes) == 1:
+            return self.planes[0]
+        keys = np.empty(self.n_vertices,
+                        dtype=[(f"p{i}", "<u8") for i in range(len(self.planes))])
+        for i, plane in enumerate(self.planes):
+            keys[f"p{i}"] = plane
+        return keys
 
     def multiplicity(self, kmer: int) -> int:
         """Occurrence count of a canonical kmer (0 when absent)."""
@@ -159,8 +246,7 @@ class DeBruijnGraph:
                 neighbor = ((int(kmer) << 2) | b) & mask
             else:
                 neighbor = (b << (2 * (self.k - 1))) | (int(kmer) >> 2)
-            canon = min(neighbor, revcomp_int(neighbor, self.k))
-            result.append((canon, weight))
+            result.append((canonical_int(neighbor, self.k), weight))
         return result
 
     def degree(self, kmer: int) -> int:
@@ -180,7 +266,7 @@ class DeBruijnGraph:
         """
         keep = self.counts[:, MULT_SLOT] >= np.uint64(min_multiplicity)
         return DeBruijnGraph(
-            k=self.k, vertices=self.vertices[keep], counts=self.counts[keep]
+            self.k, tuple(p[keep] for p in self.planes), self.counts[keep]
         )
 
     def filter_min_edge_weight(self, min_weight: int) -> "DeBruijnGraph":
@@ -194,11 +280,11 @@ class DeBruijnGraph:
         counts = self.counts.copy()
         edges = counts[:, OUT_BASE:MULT_SLOT]
         edges[edges < np.uint64(min_weight)] = 0
-        return DeBruijnGraph(k=self.k, vertices=self.vertices.copy(), counts=counts)
+        return DeBruijnGraph(self.k, tuple(p.copy() for p in self.planes), counts)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the vertex and counter arrays."""
-        return int(self.vertices.nbytes + self.counts.nbytes)
+        """Bytes held by the key planes and the counter matrix."""
+        return int(sum(p.nbytes for p in self.planes) + self.counts.nbytes)
 
     # -- comparison ---------------------------------------------------------
 
@@ -206,8 +292,7 @@ class DeBruijnGraph:
         """Exact equality of vertex sets and all counters."""
         return (
             self.k == other.k
-            and self.vertices.size == other.vertices.size
-            and bool(np.array_equal(self.vertices, other.vertices))
+            and all(np.array_equal(a, b) for a, b in zip(self.planes, other.planes))
             and bool(np.array_equal(self.counts, other.counts))
         )
 
@@ -215,6 +300,7 @@ class DeBruijnGraph:
         """Summary statistics used by the benchmark tables."""
         return {
             "k": self.k,
+            "key_planes": len(self.planes),
             "n_vertices": self.n_vertices,
             "n_duplicates": self.n_duplicate_vertices(),
             "total_kmer_instances": self.total_kmer_instances(),
@@ -224,50 +310,91 @@ class DeBruijnGraph:
 
     def vertex_str(self, i: int) -> str:
         """DNA string of vertex row ``i`` (debugging aid)."""
-        return kmer_to_str(int(self.vertices[i]), self.k)
+        return kmer_to_str(self.vertex_int(i), self.k)
+
+
+def new_key_mask(planes: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the sorted rows whose plane tuple differs from the row before."""
+    new = np.zeros(planes[0].size, dtype=bool)
+    new[:1] = True
+    for plane in planes:
+        new[1:] |= plane[1:] != plane[:-1]
+    return new
+
+
+def _strictly_sorted(planes: Sequence[np.ndarray]) -> bool:
+    """Are the rows strictly increasing by plane tuple?"""
+    if planes[0].size < 2:
+        return True
+    *high, last = planes
+    increasing = last[1:] > last[:-1]
+    for plane in reversed(high):
+        increasing = (plane[1:] > plane[:-1]) | (
+            (plane[1:] == plane[:-1]) & increasing
+        )
+    return bool(increasing.all())
+
+
+def plane_order(planes: Sequence[np.ndarray], kind: str | None = None) -> np.ndarray:
+    """Indices that sort rows by plane tuple, most significant plane first.
+
+    One plane sorts with ``np.argsort(kind=kind)``; several with the
+    (stable) ``np.lexsort``.
+    """
+    if len(planes) == 1:
+        return np.argsort(planes[0], kind=kind)
+    return np.lexsort(tuple(planes[::-1]))
+
+
+def planes_from_ints(kmers: Sequence[int], k: int) -> tuple[np.ndarray, ...]:
+    """The key planes of Python-int kmers, most significant plane first."""
+    keys = [split_key(v, k) for v in kmers]
+    return tuple(np.array([key[i] for key in keys], dtype=np.uint64)
+                 for i in range(key_planes(k)))
 
 
 def empty_graph(k: int) -> DeBruijnGraph:
     """A graph with no vertices."""
     return DeBruijnGraph(
-        k=k,
-        vertices=np.zeros(0, dtype=np.uint64),
-        counts=np.zeros((0, N_SLOTS), dtype=np.uint64),
+        k,
+        tuple(np.zeros(0, dtype=np.uint64) for _ in range(key_planes(k))),
+        np.zeros((0, N_SLOTS), dtype=np.uint64),
     )
 
 
-def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBruijnGraph:
-    """Aggregate ``(vertex, slot)`` observation pairs into a graph.
+def graph_from_pairs(k: int, *arrays: np.ndarray) -> DeBruijnGraph:
+    """Aggregate ``(*planes, slot)`` observations into a graph.
 
-    Every pair increments one counter.  This is the shared aggregation
-    kernel of the reference builder and of the sort-merge baselines: it
-    sorts the pairs and merges duplicates, exactly the "sort-merge"
-    strategy of §II-B, implemented with numpy.
+    Every observation increments one counter.  This is the shared
+    aggregation kernel of the reference builders and of the sort-merge
+    baselines: it sorts the observations and merges duplicates, exactly
+    the "sort-merge" strategy of §II-B, implemented with numpy.
     """
-    vertex_ids = np.asarray(vertex_ids, dtype=np.uint64).ravel()
-    slots = np.asarray(slots, dtype=np.uint64).ravel()
-    if vertex_ids.shape != slots.shape:
-        raise ValueError("vertex_ids and slots must have equal length")
-    if vertex_ids.size == 0:
+    *planes, slots = (np.asarray(a, dtype=np.uint64).ravel() for a in arrays)
+    if len(planes) != key_planes(k):
+        raise ValueError(f"k={k} needs {key_planes(k)} key plane(s), "
+                         f"got {len(planes)}")
+    if any(p.shape != slots.shape for p in planes):
+        raise ValueError("key planes and slots must have equal length")
+    if slots.size == 0:
         return empty_graph(k)
-    if slots.size and int(slots.max()) >= N_SLOTS:
+    if int(slots.max()) >= N_SLOTS:
         raise ValueError("slot values must be < 9")
-    if 2 * k + 4 <= 64:
+    if len(planes) == 1 and 2 * k + 4 <= 64:
         # Fast path: pack (vertex, slot) into one uint64 key.
-        keys = (vertex_ids << np.uint64(4)) | slots
+        keys = (planes[0] << np.uint64(4)) | slots
         unique_keys, key_counts = np.unique(keys, return_counts=True)
-        u_vertices = unique_keys >> np.uint64(4)
+        u_planes = [unique_keys >> np.uint64(4)]
         u_slots = (unique_keys & np.uint64(0xF)).astype(np.int64)
     else:
-        order = np.lexsort((slots, vertex_ids))
-        sv, ss = vertex_ids[order], slots[order]
-        boundary = np.ones(sv.size, dtype=bool)
-        boundary[1:] = (sv[1:] != sv[:-1]) | (ss[1:] != ss[:-1])
-        starts = np.nonzero(boundary)[0]
-        key_counts = np.diff(np.append(starts, sv.size))
-        u_vertices = sv[starts]
-        u_slots = ss[starts].astype(np.int64)
-    vertices, inverse = np.unique(u_vertices, return_inverse=True)
-    counts = np.zeros((vertices.size, N_SLOTS), dtype=np.uint64)
-    np.add.at(counts, (inverse, u_slots), key_counts.astype(np.uint64))
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+        order = np.lexsort((slots, *planes[::-1]))
+        s_planes = [p[order] for p in planes]
+        s_slots = slots[order]
+        starts = np.nonzero(new_key_mask([*s_planes, s_slots]))[0]
+        key_counts = np.diff(np.append(starts, s_slots.size))
+        u_planes = [p[starts] for p in s_planes]
+        u_slots = s_slots[starts].astype(np.int64)
+    new = new_key_mask(u_planes)
+    counts = np.zeros((int(new.sum()), N_SLOTS), dtype=np.uint64)
+    counts[np.cumsum(new) - 1, u_slots] = key_counts
+    return DeBruijnGraph(k, tuple(p[new] for p in u_planes), counts)

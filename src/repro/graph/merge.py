@@ -14,69 +14,67 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..dna.kmer import key_planes
-from .dbg import N_SLOTS, DeBruijnGraph, empty_graph
+from ..dna.kmer import join_key
+from .dbg import DeBruijnGraph, empty_graph, new_key_mask, plane_order
 
 
 class OverlapError(ValueError):
     """Raised when subgraphs expected to be disjoint share vertices."""
 
 
-def merge_disjoint(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:
-    """Union of vertex-disjoint subgraphs (the MSP guarantee).
+def merge_disjoint(subgraphs: Sequence[DeBruijnGraph],
+                   k: int | None = None) -> DeBruijnGraph:
+    """Union of vertex-disjoint subgraphs (the MSP guarantee), any width.
 
-    Raises :class:`OverlapError` if any vertex appears in two subgraphs,
-    which would indicate a partitioning bug.
+    ``k`` comes from the inputs, empty ones included, or from ``k=``
+    (required when there are no inputs).  Raises :class:`OverlapError`
+    if any vertex appears in two subgraphs, which would indicate a
+    partitioning bug.
     """
-    subgraphs = [g for g in subgraphs if g.n_vertices]
-    if not subgraphs:
-        return empty_graph(k=_common_k(subgraphs) if subgraphs else 1)
-    k = _common_k(subgraphs)
-    vertices = np.concatenate([g.vertices for g in subgraphs])
-    counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    order = np.argsort(vertices, kind="stable")
-    vertices = vertices[order]
+    k = _common_k(subgraphs, k)
+    planes, counts = _concat(subgraphs, k)
+    order = plane_order(planes, kind="stable")
+    planes = tuple(p[order] for p in planes)
     counts = counts[order]
-    if vertices.size > 1 and (vertices[1:] == vertices[:-1]).any():
-        dup = int(vertices[np.nonzero(vertices[1:] == vertices[:-1])[0][0]])
+    repeated = ~new_key_mask(planes)
+    if repeated.any():
+        row = int(np.nonzero(repeated)[0][0])
+        dup = join_key([p[row] for p in planes], k)
         raise OverlapError(
             f"vertex {dup:#x} appears in more than one subgraph; "
             "MSP partitions must be vertex-disjoint"
         )
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    return DeBruijnGraph(k, planes, counts)
 
 
-def merge_subgraphs(subgraphs: Sequence, k: int):
-    """Union of one build's vertex-disjoint subgraphs, at either key width.
-
-    One-word graphs (``k <= 31``) merge through :func:`merge_disjoint`,
-    two-word ones through :func:`repro.bigk.construct.merge_bigk_disjoint`;
-    a merge of no (or only empty) subgraphs is the empty graph of ``k``.
-    """
-    if key_planes(k) > 1:
-        from ..bigk.construct import merge_bigk_disjoint
-
-        return merge_bigk_disjoint(list(subgraphs), k=k)
-    nonempty = [g for g in subgraphs if g.n_vertices]
-    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
-
-
-def merge_adding(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:
+def merge_adding(subgraphs: Sequence[DeBruijnGraph],
+                 k: int | None = None) -> DeBruijnGraph:
     """General merge: counters of vertices present in several inputs add up."""
-    subgraphs = [g for g in subgraphs if g.n_vertices]
+    k = _common_k(subgraphs, k)
+    planes, counts = _concat(subgraphs, k)
+    if not counts.size:
+        return empty_graph(k)
+    order = plane_order(planes, kind="stable")
+    planes = tuple(p[order] for p in planes)
+    starts = np.nonzero(new_key_mask(planes))[0]
+    merged = np.add.reduceat(counts[order], starts, axis=0)
+    return DeBruijnGraph(k, tuple(p[starts] for p in planes), merged)
+
+
+def _concat(subgraphs: Sequence[DeBruijnGraph], k: int):
+    """The subgraphs' key planes and counters, stacked in input order."""
     if not subgraphs:
-        return empty_graph(k=1)
-    k = _common_k(subgraphs)
-    vertices = np.concatenate([g.vertices for g in subgraphs])
-    counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    unique, inverse = np.unique(vertices, return_inverse=True)
-    merged = np.zeros((unique.size, N_SLOTS), dtype=np.uint64)
-    np.add.at(merged, inverse, counts)
-    return DeBruijnGraph(k=k, vertices=unique, counts=merged)
+        empty = empty_graph(k)
+        return empty.planes, empty.counts
+    planes = tuple(np.concatenate(column)
+                   for column in zip(*(g.planes for g in subgraphs)))
+    return planes, np.concatenate([g.counts for g in subgraphs], axis=0)
 
 
-def _common_k(subgraphs: Sequence[DeBruijnGraph]) -> int:
-    ks = {g.k for g in subgraphs}
+def _common_k(subgraphs: Sequence[DeBruijnGraph], k: int | None) -> int:
+    ks = {g.k for g in subgraphs} | ({k} if k is not None else set())
     if len(ks) > 1:
         raise ValueError(f"cannot merge graphs with different k: {sorted(ks)}")
+    if not ks:
+        raise ValueError("a merge of no subgraphs needs k=")
     return ks.pop()

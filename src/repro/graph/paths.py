@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dna.alphabet import decode
-from ..dna.encoding import int_to_codes
-from ..dna.kmer import revcomp_int
-from .compact import SIDE_IN, SIDE_OUT, _GraphIndex, _step
+from .compact import SIDE_IN, SIDE_OUT, _GraphIndex, _spell, _step
 from .dbg import IN_BASE, MULT_SLOT, OUT_BASE, DeBruijnGraph
 
 
@@ -63,7 +61,7 @@ def _greedy_walk(index: _GraphIndex, start_row: int, start_side: int,
         base = _heaviest_edge(graph.counts[row], side, min_weight)
         if base is None:
             return path
-        vertex = int(graph.vertices[row])
+        vertex = index.vertices[row]
         neighbor, entry_side, _ = _step(vertex, side, base, k)
         nrow = index.row(neighbor)
         if nrow is None or visited[nrow]:
@@ -72,21 +70,6 @@ def _greedy_walk(index: _GraphIndex, start_row: int, start_side: int,
         exit_side = SIDE_OUT if entry_side == SIDE_IN else SIDE_IN
         path.append((nrow, exit_side))
         row, side = nrow, exit_side
-
-
-def _spell_chain(graph: DeBruijnGraph, chain: list[tuple[int, int]]) -> np.ndarray:
-    k = graph.k
-    first_row, first_exit = chain[0]
-    first = int(graph.vertices[first_row])
-    if first_exit == SIDE_OUT:
-        seq = list(int_to_codes(first, k))
-    else:
-        seq = list(int_to_codes(revcomp_int(first, k), k))
-    for row, exit_side in chain[1:]:
-        vertex = int(graph.vertices[row])
-        spelled = vertex if exit_side == SIDE_OUT else revcomp_int(vertex, k)
-        seq.append(int(spelled & 0x3))
-    return np.array(seq, dtype=np.uint8)
 
 
 def greedy_contigs(graph: DeBruijnGraph, min_edge_weight: int = 2,
@@ -119,7 +102,7 @@ def greedy_contigs(graph: DeBruijnGraph, min_edge_weight: int = 2,
         ]
         chain.append((row, SIDE_OUT))
         chain.extend(forward)
-        bases = _spell_chain(graph, chain)
+        bases = _spell(index, chain)
         rows = [r for r, _ in chain]
         contigs.append(
             Contig(

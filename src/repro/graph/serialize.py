@@ -5,8 +5,10 @@ required format and transfers it to the disk" (§III-E); the constructed
 subgraphs become disk files (the paper's Bumblebee output is ~20 GB).
 Two formats:
 
-* **binary** (``.phdbg``): header + the raw vertex/counter arrays.
-  Compact, exact, fast; the format partition outputs use.
+* **binary** (``.phdbg``): header + the raw key-plane/counter arrays.
+  Compact, exact, fast; the format partition outputs use.  The header
+  records k, and k fixes the number W of key planes, so one layout
+  serves every key width.
 * **TSV text**: one vertex per line with its spelled kmer, multiplicity
   and the 8 edge counters — for interoperability and eyeballing.
 """
@@ -22,9 +24,12 @@ import numpy as np
 from ..dna.alphabet import encode
 from ..dna.encoding import codes_to_int
 from ..dna.kmer import key_planes
-from .dbg import N_SLOTS, DeBruijnGraph
+from .dbg import N_SLOTS, DeBruijnGraph, plane_order, planes_from_ints
 
 MAGIC = b"PHDB"
+#: Magic of the former two-word files; their layout is the PHDB layout
+#: at W = 2, so :func:`load_graph` reads them too.
+LEGACY_MAGIC_2W = b"PHB2"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBHQ")
 
@@ -34,39 +39,44 @@ class GraphFormatError(ValueError):
 
 
 def save_graph(path: str | os.PathLike, graph: DeBruijnGraph) -> int:
-    """Write a graph as a binary ``.phdbg`` file; returns bytes written."""
+    """Write a graph as a binary ``.phdbg`` file; returns bytes written.
+
+    Layout: header (magic, version, k, reserved, n), the W key planes
+    most significant first, then the ``(n, 9)`` counters, all as
+    little-endian uint64.
+    """
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, graph.k, 0, graph.n_vertices))
-        fh.write(np.ascontiguousarray(graph.vertices, dtype="<u8").tobytes())
+        for plane in graph.planes:
+            fh.write(np.ascontiguousarray(plane, dtype="<u8").tobytes())
         fh.write(np.ascontiguousarray(graph.counts, dtype="<u8").tobytes())
     return os.path.getsize(path)
 
 
 def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
-    """Read a binary graph file back."""
+    """Read a binary graph file (PHDB, or a legacy PHB2) back."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise GraphFormatError(f"{path}: truncated header")
     magic, version, k, _reserved, n = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
+    if magic not in (MAGIC, LEGACY_MAGIC_2W):
         raise GraphFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise GraphFormatError(f"{path}: unsupported version {version}")
-    need = _HEADER.size + n * 8 + n * N_SLOTS * 8
+    try:
+        width = key_planes(k)
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    need = _HEADER.size + n * 8 * width + n * N_SLOTS * 8
     if len(raw) != need:
         raise GraphFormatError(
             f"{path}: expected {need} bytes for {n} vertices, got {len(raw)}"
         )
-    pos = _HEADER.size
-    vertices = np.frombuffer(raw, dtype="<u8", count=n, offset=pos).copy()
-    pos += n * 8
-    counts = (
-        np.frombuffer(raw, dtype="<u8", count=n * N_SLOTS, offset=pos)
-        .reshape(n, N_SLOTS)
-        .copy()
-    )
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    words = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size).copy()
+    planes = tuple(words[i * n:(i + 1) * n] for i in range(width))
+    counts = words[width * n:].reshape(n, N_SLOTS)
+    return DeBruijnGraph(k, planes, counts)
 
 
 TSV_HEADER = "kmer\tmultiplicity\toutA\toutC\toutG\toutT\tinA\tinC\tinG\tinT"
@@ -92,6 +102,7 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
         raise GraphFormatError(f"{path}: missing '# k=' header line")
     try:
         k = int(lines[0].split("=", 1)[1])
+        key_planes(k)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: bad k header") from exc
     if len(lines) < 2 or lines[1] != TSV_HEADER:
@@ -109,55 +120,31 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
             )
         vertices.append(codes_to_int(encode(kmer_str)))
         counts.append([int(v) for v in edges] + [int(mult)])
-    order = np.argsort(np.array(vertices, dtype=np.uint64))
-    vertices_arr = np.array(vertices, dtype=np.uint64)[order]
+    planes = planes_from_ints(vertices, k)
+    order = plane_order(planes)
     counts_arr = (
         np.array(counts, dtype=np.uint64)[order]
         if counts
         else np.zeros((0, N_SLOTS), dtype=np.uint64)
     )
-    return DeBruijnGraph(k=k, vertices=vertices_arr, counts=counts_arr)
-
-
-def save_any_graph(path: str | os.PathLike, graph) -> int:
-    """Write a graph in the binary format of its key width.
-
-    ``.phdbg`` (PHDB) for one-word keys, PHB2
-    (:func:`repro.bigk.serialize.save_big_graph`) for two-word keys;
-    returns bytes written.
-    """
-    if key_planes(graph.k) > 1:
-        from ..bigk.serialize import save_big_graph
-
-        return save_big_graph(path, graph)
-    return save_graph(path, graph)
-
-
-def load_any_graph(path: str | os.PathLike):
-    """Read a graph file of either key width, picked by its magic."""
-    from ..bigk.serialize import detect_graph_format, load_big_graph
-
-    if detect_graph_format(path) == "2w":
-        return load_big_graph(path)
-    return load_graph(path)
+    return DeBruijnGraph(k, tuple(p[order] for p in planes), counts_arr)
 
 
 def save_subgraphs(out_dir: str | os.PathLike, subgraphs: list) -> list[Path]:
     """Write one binary file per subgraph (the Step 2 output stage).
 
-    Files are ``subgraph_NNNN.phdbg`` in the format of the graphs' key
-    width (:func:`save_any_graph`).
+    Files are ``subgraph_NNNN.phdbg`` (:func:`save_graph`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, graph in enumerate(subgraphs):
         path = out / f"subgraph_{i:04d}.phdbg"
-        save_any_graph(path, graph)
+        save_graph(path, graph)
         paths.append(path)
     return paths
 
 
-def load_subgraphs(paths: list[Path] | list[str]) -> list:
-    """Read subgraph files of either key width back (e.g. to merge them)."""
-    return [load_any_graph(p) for p in paths]
+def load_subgraphs(paths: list[Path] | list[str]) -> list[DeBruijnGraph]:
+    """Read subgraph files back (e.g. to merge them)."""
+    return [load_graph(p) for p in paths]

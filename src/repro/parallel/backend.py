@@ -62,7 +62,7 @@ from ..core.estimator import next_power_of_two
 from ..core.hashtable import HashStats, TableFullError
 from ..dna.kmer import key_planes
 from ..dna.reads import ReadBatch
-from ..graph.merge import merge_subgraphs
+from ..graph.merge import merge_disjoint
 from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import (
     SpillWriterSet,
@@ -419,7 +419,7 @@ def build_graph_processes(
             io_seconds += time.perf_counter() - t_io
 
         spills_done = merger.spills_done_at or t2
-        graph = merge_subgraphs(subgraphs, cfg.k)
+        graph = merge_disjoint(subgraphs, k=cfg.k)
         step1_reports = [merger.reports[w] for w in sorted(merger.reports)]
         return ParaHashResult(
             graph=graph,
@@ -459,7 +459,7 @@ def _empty_result(cfg, workdir: str | Path | None):
                                    workdir, cfg.k)
         partition_bytes = sum(os.path.getsize(path) for path in merged)
     return ParaHashResult(
-        graph=merge_subgraphs([], cfg.k),
+        graph=merge_disjoint([], k=cfg.k),
         subgraphs=[],
         hash_stats=HashStats(),
         timings=StageTimings(io_seconds=time.perf_counter() - t0),

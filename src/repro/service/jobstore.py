@@ -93,11 +93,6 @@ class JobSpec:
         if self.max_memory < 0:
             raise JobError("max_memory must be >= 0")
 
-    @property
-    def big_k(self) -> bool:
-        """Are this job's keys two-word (33 <= k <= 63)?"""
-        return key_planes(self.k) > 1
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -257,11 +257,11 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
 def _merge_and_save(subgraph_files: list[Path], k: int,
                     graph_path: Path) -> int:
     """Union the per-partition subgraphs and publish the final graph."""
-    from ..graph.merge import merge_subgraphs
-    from ..graph.serialize import load_subgraphs, save_any_graph
+    from ..graph.merge import merge_disjoint
+    from ..graph.serialize import load_subgraphs, save_graph
 
     tmp = graph_path.with_name(graph_path.name + ".tmp")
-    merged = merge_subgraphs(load_subgraphs(subgraph_files), k)
-    n_bytes = save_any_graph(tmp, merged)
+    merged = merge_disjoint(load_subgraphs(subgraph_files), k=k)
+    n_bytes = save_graph(tmp, merged)
     atomic_replace(tmp, graph_path)
     return n_bytes

@@ -38,7 +38,7 @@ from pathlib import Path
 from ..core.estimator import SizingPolicy
 from ..core.subgraph import build_subgraph
 from ..dna.io import load_read_batch
-from ..graph.serialize import save_any_graph
+from ..graph.serialize import save_graph
 from ..msp.partitioner import SpillWriterSet, load_partition_group, partition_reads
 
 
@@ -102,7 +102,7 @@ def _run_step2(task: dict) -> dict:
     out_path = Path(task["out_path"])
     built = build_subgraph(block, policy, preaggregate=preaggregate)
     tmp = out_path.with_name(out_path.name + ".tmp")
-    n_bytes = save_any_graph(tmp, built.graph)
+    n_bytes = save_graph(tmp, built.graph)
     atomic_replace(tmp, out_path)
     return {
         "kind": "step2",

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bigk.construct import merge_bigk_disjoint
 from repro.bigk.kmer2w import (
     canonical2w_with_flip,
     check_2w_k,
@@ -14,11 +13,7 @@ from repro.bigk.kmer2w import (
     revcomp2w,
     split_int,
 )
-from repro.bigk.store import (
-    BigDeBruijnGraph,
-    build_reference_bigk_slow,
-    graph_from_plane_pairs,
-)
+from repro.bigk.store import build_reference_bigk_slow
 from repro.bigk.table import TwoWordHashTable, hash_planes, hash_planes_int
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash, build_debruijn_graph
@@ -29,6 +24,10 @@ from repro.core.subgraph import (
     preaggregate_observations,
 )
 from repro.dna.kmer import canonical_int, iter_kmers, revcomp_int
+from repro.graph.compact import compact_unitigs
+from repro.graph.dbg import DeBruijnGraph, graph_from_pairs
+from repro.graph.merge import OverlapError, merge_disjoint
+from repro.graph.serialize import GraphFormatError, load_graph, save_graph
 from repro.msp.partitioner import partition_reads
 
 BIG_KS = [33, 41, 48, 63]
@@ -119,7 +118,7 @@ class TestTwoWordTable:
         _, hi, lo, slots = self.observations(rng, k)
         table = TwoWordHashTable(1024, k)
         table.insert_batch(hi, lo, slots)
-        assert table.to_graph().equals(graph_from_plane_pairs(k, hi, lo, slots))
+        assert table.to_graph().equals(graph_from_pairs(k, hi, lo, slots))
 
     def test_threaded_equals_batch(self, rng):
         k = 41
@@ -213,8 +212,8 @@ class TestBigKConstruction:
 
     def test_merge_detects_overlap(self, genomic_batch):
         g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
-        with pytest.raises(ValueError):
-            merge_bigk_disjoint([g, g])
+        with pytest.raises(OverlapError):
+            merge_disjoint([g, g])
 
     def test_observation_counts(self, small_batch):
         k = 33
@@ -306,60 +305,52 @@ class TestBigKPartitionCodec:
 
 class TestBigSerialize:
     def test_roundtrip(self, genomic_batch, tmp_path):
-        from repro.bigk.serialize import load_big_graph, save_big_graph
-
         g = build_debruijn_graph(genomic_batch, 41, p=13, n_partitions=4)
         path = tmp_path / "g.phdbg"
-        n_bytes = save_big_graph(path, g)
+        n_bytes = save_graph(path, g)
         assert n_bytes == path.stat().st_size
-        assert load_big_graph(path).equals(g)
+        assert n_bytes == 16 + g.n_vertices * 8 * (2 + 9)
+        assert load_graph(path).equals(g)
 
     def test_detect_format(self, genomic_batch, tmp_path):
-        from repro.bigk.serialize import detect_graph_format, save_big_graph
+        # One format: the header's k fixes the number of key planes.
         from repro.graph.build import build_reference_graph
-        from repro.graph.serialize import save_graph
 
         big = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         small = build_reference_graph(genomic_batch, 15)
         p_big = tmp_path / "big.phdbg"
         p_small = tmp_path / "small.phdbg"
-        save_big_graph(p_big, big)
+        save_graph(p_big, big)
         save_graph(p_small, small)
-        assert detect_graph_format(p_big) == "2w"
-        assert detect_graph_format(p_small) == "1w"
+        assert p_big.read_bytes()[:4] == p_small.read_bytes()[:4] == b"PHDB"
+        assert len(load_graph(p_big).planes) == 2
+        assert len(load_graph(p_small).planes) == 1
 
     def test_wrong_magic_rejected(self, tmp_path):
-        from repro.bigk.serialize import load_big_graph
-        from repro.graph.serialize import GraphFormatError
-
         path = tmp_path / "x.phdbg"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(GraphFormatError):
-            load_big_graph(path)
+            load_graph(path)
 
     def test_truncation_rejected(self, genomic_batch, tmp_path):
-        from repro.bigk.serialize import load_big_graph, save_big_graph
-        from repro.graph.serialize import GraphFormatError
-
         g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)
         path = tmp_path / "g.phdbg"
-        save_big_graph(path, g)
+        save_graph(path, g)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(GraphFormatError):
-            load_big_graph(path)
+            load_graph(path)
 
 
 class TestBigCompaction:
     def test_clean_genome_single_unitig(self):
-        from repro.bigk.compact import compact_unitigs_bigk
         from repro.dna.alphabet import decode
         from repro.dna.simulate import random_genome, simulate_reads
 
         genome = random_genome(1_200, seed=12)
         reads = simulate_reads(genome, 350, 80, mean_errors=0.0, seed=13)
         g = build_debruijn_graph(reads, 41, p=15, n_partitions=4)
-        unitigs = compact_unitigs_bigk(g)
+        unitigs = compact_unitigs(g)
         longest = max(unitigs, key=len).to_str()
         gs = decode(genome)
         rc = longest.translate(str.maketrans("ACGT", "TGCA"))[::-1]
@@ -367,18 +358,14 @@ class TestBigCompaction:
         assert len(longest) > 0.9 * len(gs)
 
     def test_base_count_invariant(self, clean_batch):
-        from repro.bigk.compact import compact_unitigs_bigk
-
         g = build_debruijn_graph(clean_batch, 33, p=13, n_partitions=4)
-        unitigs = compact_unitigs_bigk(g)
+        unitigs = compact_unitigs(g)
         total = sum(len(u) for u in unitigs)
         assert total == g.n_vertices + len(unitigs) * 32
 
     def test_every_vertex_once(self, genomic_batch):
-        from repro.bigk.compact import compact_unitigs_bigk
-
         g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=4)
-        unitigs = compact_unitigs_bigk(g)
+        unitigs = compact_unitigs(g)
         rows = [r for u in unitigs for r in u.vertex_rows]
         assert sorted(rows) == list(range(g.n_vertices))
 
@@ -386,12 +373,15 @@ class TestBigCompaction:
 class TestBigStore:
     def test_store_validation(self):
         with pytest.raises(ValueError):
-            BigDeBruijnGraph(
-                k=33,
-                vertices_hi=np.array([2, 1], dtype=np.uint64),
-                vertices_lo=np.array([0, 0], dtype=np.uint64),
-                counts=np.zeros((2, 9), dtype=np.uint64),
+            DeBruijnGraph(
+                33,
+                (np.array([2, 1], dtype=np.uint64),
+                 np.array([0, 0], dtype=np.uint64)),
+                np.zeros((2, 9), dtype=np.uint64),
             )
+        with pytest.raises(ValueError):  # k = 33 needs two key planes
+            DeBruijnGraph(33, (np.array([1], dtype=np.uint64),),
+                          np.zeros((1, 9), dtype=np.uint64))
 
     def test_index_of(self, genomic_batch):
         g = build_debruijn_graph(genomic_batch, 33, p=13, n_partitions=2)

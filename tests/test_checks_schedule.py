@@ -102,7 +102,7 @@ class TestWriterPause:
         table = ConcurrentHashTable(256, k=15)
         writer_pause_scenario(table, n_readers=2, locked_sightings=8)
         g = table.to_graph()
-        assert g.vertices.size == 1
+        assert g.planes[0].size == 1
 
 
 class TestFixedCodeScenarios:

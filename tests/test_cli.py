@@ -216,32 +216,61 @@ class TestBigKCli:
         rc = main(["build", "--input", str(reads_file), "--k", "41",
                    "--p", "15", "--partitions", "4", "--output", str(out)])
         assert rc == 0
-        assert "two-word keys" in capsys.readouterr().out
-        # stats detects the two-word format.
+        assert "2 key plane(s)" in capsys.readouterr().out
+        # stats reads the key width from the file's k.
         rc = main(["stats", "--graph", str(out)])
         assert rc == 0
-        assert "two-word keys" in capsys.readouterr().out
+        captured = capsys.readouterr().out
+        assert "key_planes" in captured and "41" in captured
 
     def test_bigk_roundtrip_exact(self, reads_file, tmp_path):
-        from repro.bigk import build_reference_bigk_slow, load_big_graph
+        from repro.bigk import build_reference_bigk_slow
 
         out = tmp_path / "g41.phdbg"
         main(["build", "--input", str(reads_file), "--k", "41",
               "--p", "15", "--partitions", "4", "--output", str(out)])
         reads = load_read_batch(reads_file)
         expected = build_reference_bigk_slow(reads, 41)
-        assert load_big_graph(out).equals(expected)
+        assert load_graph(out).equals(expected)
 
-    def test_unsupported_flags_rejected(self, reads_file, tmp_path):
-        out = tmp_path / "g.phdbg"
-        rc = main(["build", "--input", str(reads_file), "--k", "41",
-                   "--p", "15", "--partitions", "4", "--output", str(out),
-                   "--min-multiplicity", "2"])
-        assert rc == 2
-        rc = main(["build", "--input", str(reads_file), "--k", "41",
-                   "--p", "15", "--partitions", "4", "--output", str(out),
-                   "--tsv", str(tmp_path / "g.tsv")])
-        assert rc == 2
+    def test_filter_and_tsv_at_large_k(self, reads_file, tmp_path):
+        from repro.graph.serialize import import_tsv
+
+        full, out = tmp_path / "full.phdbg", tmp_path / "g.phdbg"
+        tsv = tmp_path / "g.tsv"
+        base = ["build", "--input", str(reads_file), "--k", "41",
+                "--p", "15", "--partitions", "4"]
+        assert main(base + ["--output", str(full)]) == 0
+        rc = main(base + ["--output", str(out), "--min-multiplicity", "2",
+                          "--tsv", str(tsv)])
+        assert rc == 0
+        filtered = load_graph(out)
+        assert filtered.equals(load_graph(full).filter_min_multiplicity(2))
+        assert 0 < filtered.n_vertices < load_graph(full).n_vertices
+        assert import_tsv(tsv).equals(filtered)
+
+    def test_stats_unitigs_validate_at_large_k(self, reads_file, tmp_path,
+                                               capsys):
+        out = tmp_path / "g45.phdbg"
+        uni = tmp_path / "u.fasta"
+        rc = main(["build", "--input", str(reads_file), "--k", "45",
+                   "--p", "15", "--partitions", "4", "--output", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["stats", "--graph", str(out), "--reads", "360",
+                   "--read-length", "100"])
+        assert rc == 0
+        captured = capsys.readouterr().out
+        assert "junction vertices" in captured
+        assert "estimated error rate" in captured
+        rc = main(["unitigs", "--graph", str(out), "--output", str(uni)])
+        assert rc == 0
+        records = read_fasta(uni)
+        assert records
+        assert all(len(r.sequence) >= 45 for r in records)
+        rc = main(["validate", "--graph", str(out), "--full"])
+        assert rc == 0
+        assert "all invariants hold" in capsys.readouterr().out
 
     def test_k32_rejected_before_work(self, reads_file, tmp_path, capsys):
         out = tmp_path / "g.phdbg"
@@ -252,8 +281,6 @@ class TestBigKCli:
         assert not out.exists()
 
     def test_processes_backend_builds_large_k(self, reads_file, tmp_path):
-        from repro.bigk import load_big_graph
-
         serial_out = tmp_path / "serial.phdbg"
         proc_out = tmp_path / "proc.phdbg"
         rc = main(["build", "--input", str(reads_file), "--k", "41",
@@ -265,7 +292,7 @@ class TestBigKCli:
                    "--backend", "processes", "--workers", "2",
                    "--output", str(proc_out)])
         assert rc == 0
-        assert load_big_graph(proc_out).equals(load_big_graph(serial_out))
+        assert load_graph(proc_out).equals(load_graph(serial_out))
 
     def test_bigk_preaggregate_flag_threaded_through(
         self, reads_file, tmp_path, monkeypatch
@@ -294,15 +321,11 @@ class TestBigKCli:
         assert rc == 0
         assert calls["n"] == 0
         # Flag or not, the graph is identical.
-        from repro.bigk import load_big_graph
-
-        assert load_big_graph(tmp_path / "a.phdbg").equals(
-            load_big_graph(tmp_path / "b.phdbg")
+        assert load_graph(tmp_path / "a.phdbg").equals(
+            load_graph(tmp_path / "b.phdbg")
         )
 
     def test_threads_backend_builds_large_k(self, reads_file, tmp_path):
-        from repro.bigk import load_big_graph
-
         serial_out = tmp_path / "serial.phdbg"
         threads_out = tmp_path / "threads.phdbg"
         rc = main(["build", "--input", str(reads_file), "--k", "41",
@@ -314,7 +337,7 @@ class TestBigKCli:
                    "--backend", "threads", "--workers", "2",
                    "--output", str(threads_out)])
         assert rc == 0
-        assert load_big_graph(threads_out).equals(load_big_graph(serial_out))
+        assert load_graph(threads_out).equals(load_graph(serial_out))
 
 
 class TestParser:

@@ -21,7 +21,7 @@ class TestCountKmers:
         table = count_kmers(genomic_batch, k)
         graph = build_reference_graph(genomic_batch, k)
         assert table.n_distinct == graph.n_vertices
-        assert np.array_equal(table.kmers, graph.vertices)
+        assert np.array_equal(table.kmers, graph.planes[0])
         assert np.array_equal(table.counts, graph.counts[:, MULT_SLOT])
 
     def test_total_instances(self, genomic_batch):

@@ -1,6 +1,5 @@
 """Failure-injection tests: corrupted inputs, straggler devices, edge cases."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import ParaHashConfig
@@ -134,7 +133,7 @@ class TestNumericEdges:
         cfg = ParaHashConfig(k=7, p=3, n_partitions=2)
         result = ParaHash(cfg).build_graph(batch)
         assert result.graph.n_vertices == 1
-        assert int(result.graph.vertices[0]) == 0  # canonical AAAAAAA
+        assert int(result.graph.planes[0][0]) == 0  # canonical AAAAAAA
 
     def test_zero_errors_profile(self, clean_batch):
         from repro.graph.build import build_reference_graph

@@ -9,7 +9,7 @@ from repro.graph.build import (
     build_reference_graph_slow,
     edge_observations,
 )
-from repro.graph.dbg import MULT_SLOT, empty_graph, graph_from_pairs
+from repro.graph.dbg import MULT_SLOT, DeBruijnGraph, empty_graph, graph_from_pairs
 from repro.graph.merge import OverlapError, merge_adding, merge_disjoint
 from repro.graph.validate import assert_graphs_equal
 
@@ -69,10 +69,8 @@ class TestReferenceBuilders:
 class TestMergeDisjoint:
     def split_graph(self, g, parts=3):
         bounds = np.linspace(0, g.n_vertices, parts + 1).astype(int)
-        from repro.graph.dbg import DeBruijnGraph
-
         return [
-            DeBruijnGraph(k=g.k, vertices=g.vertices[a:b], counts=g.counts[a:b])
+            DeBruijnGraph(g.k, tuple(p[a:b] for p in g.planes), g.counts[a:b])
             for a, b in zip(bounds, bounds[1:])
         ]
 
@@ -87,9 +85,18 @@ class TestMergeDisjoint:
         assert_graphs_equal(merge_disjoint(parts[::-1]), g, "merge-reversed")
 
     def test_overlap_detected(self, genomic_batch):
-        g = build_reference_graph(genomic_batch, 15)
-        with pytest.raises(OverlapError):
-            merge_disjoint([g, g])
+        from repro.core.parahash import build_debruijn_graph
+
+        g15 = build_reference_graph(genomic_batch, 15)
+        g45 = build_debruijn_graph(genomic_batch, 45, p=13, n_partitions=2)
+        for g in (g15, g45):
+            with pytest.raises(OverlapError):
+                merge_disjoint([g, g])
+            # One shared vertex is enough, at either key width.
+            head = self.split_graph(g, 2)[0]
+            with pytest.raises(OverlapError):
+                merge_disjoint([g, DeBruijnGraph(
+                    g.k, tuple(p[:1] for p in head.planes), head.counts[:1])])
 
     def test_empty_inputs_skipped(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
@@ -101,6 +108,18 @@ class TestMergeDisjoint:
         g13 = build_reference_graph(genomic_batch, 13)
         with pytest.raises(ValueError):
             merge_disjoint([g15, g13])
+        with pytest.raises(ValueError):
+            merge_disjoint([g15], k=13)
+
+    def test_all_empty_merge_keeps_k(self):
+        # k comes from the inputs, empty ones included, or from k=.
+        assert merge_disjoint([empty_graph(15)]).k == 15
+        assert merge_disjoint([empty_graph(45), empty_graph(45)]).k == 45
+        merged = merge_disjoint([], k=45)
+        assert merged.k == 45 and merged.n_vertices == 0
+        assert len(merged.planes) == 2
+        with pytest.raises(ValueError):
+            merge_disjoint([])
 
 
 class TestMergeAdding:
@@ -119,7 +138,8 @@ class TestMergeAdding:
         assert_graphs_equal(merge_adding(parts), g, "piecewise")
 
     def test_empty(self):
-        assert merge_adding([]).n_vertices == 0
+        assert merge_adding([], k=15).n_vertices == 0
+        assert merge_adding([empty_graph(45)]).k == 45
 
 
 class TestGraphFromPairsConsistency:

@@ -74,7 +74,7 @@ class TestGraphFromPairs:
         s = np.array([0, 0, 8, 8, 2], dtype=np.uint64)
         fast = graph_from_pairs(27, v, s)  # packed path
         slow = graph_from_pairs(31, v, s)  # 2*31+4 = 66 > 64: lexsort
-        assert np.array_equal(fast.vertices, slow.vertices)
+        assert np.array_equal(fast.planes[0], slow.planes[0])
         assert np.array_equal(fast.counts, slow.counts)
 
 
@@ -100,7 +100,7 @@ class TestGraphQueries:
 
     def test_predecessors_inverse_of_successors(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
-        v = int(g.vertices[len(g) // 2])
+        v = g.vertex_int(len(g) // 2)
         for neighbor, _ in g.successors(v):
             back = [u for u, _ in g.predecessors(neighbor)] + [
                 u for u, _ in g.successors(neighbor)
@@ -109,7 +109,7 @@ class TestGraphQueries:
 
     def test_degree(self):
         g = self.graph()
-        assert all(g.degree(int(v)) >= 1 for v in g.vertices)
+        assert all(g.degree(v) >= 1 for v in g.vertex_ints())
 
     def test_missing_vertex_queries(self):
         g = self.graph()
@@ -151,17 +151,17 @@ class TestValidationOfStore:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             DeBruijnGraph(
-                k=3,
-                vertices=np.array([5, 3], dtype=np.uint64),
-                counts=np.zeros((2, 9), dtype=np.uint64),
+                3,
+                (np.array([5, 3], dtype=np.uint64),),
+                np.zeros((2, 9), dtype=np.uint64),
             )
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DeBruijnGraph(
-                k=3,
-                vertices=np.array([3], dtype=np.uint64),
-                counts=np.zeros((2, 9), dtype=np.uint64),
+                3,
+                (np.array([3], dtype=np.uint64),),
+                np.zeros((2, 9), dtype=np.uint64),
             )
 
     def test_empty_graph(self):

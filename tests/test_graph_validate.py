@@ -30,14 +30,13 @@ class TestAssertGraphsEqual:
 
     def test_vertex_count_mismatch_lists_examples(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
-        smaller = DeBruijnGraph(k=15, vertices=g.vertices[1:], counts=g.counts[1:])
+        smaller = DeBruijnGraph(15, (g.planes[0][1:],), g.counts[1:])
         with pytest.raises(GraphValidationError, match="missing"):
             assert_graphs_equal(smaller, g, "test")
 
     def test_counter_mismatch_reported(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
-        tampered = DeBruijnGraph(k=15, vertices=g.vertices.copy(),
-                                 counts=g.counts.copy())
+        tampered = DeBruijnGraph(15, (g.planes[0].copy(),), g.counts.copy())
         tampered.counts[3, MULT_SLOT] += 1
         with pytest.raises(GraphValidationError, match="counters differ"):
             assert_graphs_equal(tampered, g)
@@ -51,25 +50,23 @@ class TestInvariants:
     def test_noncanonical_vertex_detected(self):
         # Vertex 0b111111... (all T) is not canonical (AAAA.. is smaller).
         g = DeBruijnGraph(
-            k=5,
-            vertices=np.array([(1 << 10) - 1], dtype=np.uint64),
-            counts=np.ones((1, 9), dtype=np.uint64),
+            5,
+            (np.array([(1 << 10) - 1], dtype=np.uint64),),
+            np.ones((1, 9), dtype=np.uint64),
         )
         with pytest.raises(GraphValidationError, match="not canonical"):
             check_canonical_vertices(g)
 
     def test_multiplicity_conservation_detects_loss(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
-        tampered = DeBruijnGraph(k=15, vertices=g.vertices.copy(),
-                                 counts=g.counts.copy())
+        tampered = DeBruijnGraph(15, (g.planes[0].copy(),), g.counts.copy())
         tampered.counts[0, MULT_SLOT] += 5
         with pytest.raises(GraphValidationError, match="multiplicity"):
             check_multiplicity_conservation(tampered, genomic_batch)
 
     def test_edge_weight_conservation_detects_loss(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
-        tampered = DeBruijnGraph(k=15, vertices=g.vertices.copy(),
-                                 counts=g.counts.copy())
+        tampered = DeBruijnGraph(15, (g.planes[0].copy(),), g.counts.copy())
         # Find a vertex with a non-zero out edge and drop one unit.
         rows = np.nonzero(tampered.counts[:, OUT_BASE] > 0)[0]
         tampered.counts[rows[0], OUT_BASE] -= 1
@@ -78,8 +75,7 @@ class TestInvariants:
 
     def test_edge_symmetry_detects_asymmetry(self, clean_batch):
         g = build_reference_graph(clean_batch, 15)
-        tampered = DeBruijnGraph(k=15, vertices=g.vertices.copy(),
-                                 counts=g.counts.copy())
+        tampered = DeBruijnGraph(15, (g.planes[0].copy(),), g.counts.copy())
         rows = np.nonzero(tampered.counts[:, OUT_BASE] > 0)[0]
         tampered.counts[rows[0], OUT_BASE] += 1
         with pytest.raises(GraphValidationError, match="asymmetric|absent"):

@@ -65,7 +65,7 @@ class TestInsertBatch:
         assert table.n_occupied == kmers.size
         assert table.load_factor > 0.8
         g = table.to_graph()
-        assert np.array_equal(g.vertices, np.sort(kmers))
+        assert np.array_equal(g.planes[0], np.sort(kmers))
 
     def test_table_full_raises(self, rng):
         kmers = np.unique(rng.integers(0, 1 << 30, size=5000, dtype=np.uint64))
@@ -141,7 +141,7 @@ class TestLookupAndExtraction:
         table = ConcurrentHashTable(2048, k=15)
         table.insert_batch(kmers, slots)
         g = table.to_graph()
-        assert np.array_equal(g.vertices, np.sort(np.unique(kmers)))
+        assert np.array_equal(g.planes[0], np.sort(np.unique(kmers)))
         assert g.total_kmer_instances() == int((slots == MULT_SLOT).sum())
 
     def test_multiplicity_histogram(self, rng):

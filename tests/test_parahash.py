@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import BIG_GENOME_CONFIG, MEDIUM_GENOME_CONFIG, ParaHashConfig
 from repro.core.parahash import ParaHash, build_debruijn_graph
 from repro.graph.build import build_reference_graph
+from repro.graph.merge import merge_disjoint
+from repro.graph.serialize import load_subgraphs
 from repro.graph.validate import assert_graphs_equal, validate_full_graph
 
 
@@ -105,9 +107,6 @@ class TestEndToEnd:
         assert g.n_vertices + g.n_duplicate_vertices() == genomic_batch.n_kmers(15)
 
     def test_output_dir_writes_subgraph_files(self, genomic_batch, tmp_path):
-        from repro.graph.merge import merge_disjoint
-        from repro.graph.serialize import load_subgraphs
-
         cfg = ParaHashConfig(k=15, p=7, n_partitions=6)
         result = ParaHash(cfg).build_graph(genomic_batch,
                                            output_dir=tmp_path / "out")
@@ -119,11 +118,8 @@ class TestEndToEnd:
     def test_build_from_files(self, genomic_batch, tmp_path):
         # Shard the reads across three fastq files; streaming
         # construction must equal the in-memory build, at both key
-        # widths, and write subgraph files of the key width's format.
-        from repro.bigk.serialize import load_big_graph
+        # widths, and write subgraph files that merge back to the graph.
         from repro.dna.io import save_read_batch
-        from repro.graph.merge import merge_subgraphs
-        from repro.graph.serialize import load_graph
 
         shards = []
         for i, piece in enumerate(genomic_batch.split(3)):
@@ -142,10 +138,9 @@ class TestEndToEnd:
                 ref = build_reference_graph(genomic_batch, k)
                 assert_graphs_equal(result.graph, ref, "from-files")
             assert result.n_kmers == genomic_batch.n_kmers(k)
-            load = load_big_graph if k > 31 else load_graph
             files = sorted(out.glob("subgraph_*.phdbg"))
             assert len(files) == len(result.subgraphs)
-            loaded = merge_subgraphs([load(f) for f in files], k)
+            loaded = merge_disjoint(load_subgraphs(files), k=k)
             assert loaded.equals(result.graph), k
 
     def test_build_from_files_threads_backend(self, genomic_batch, tmp_path):
@@ -179,5 +174,5 @@ class TestEndToEnd:
         result = ParaHash(ParaHashConfig(k=15, p=7, n_partitions=8)).build_graph(
             genomic_batch
         )
-        all_vertices = np.concatenate([g.vertices for g in result.subgraphs])
+        all_vertices = np.concatenate([g.planes[0] for g in result.subgraphs])
         assert np.unique(all_vertices).size == all_vertices.size

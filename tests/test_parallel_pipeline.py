@@ -51,7 +51,7 @@ def shm_listing() -> set[str]:
 
 def assert_graphs_identical(a, b):
     assert a.k == b.k
-    assert np.array_equal(a.vertices, b.vertices)
+    assert all(np.array_equal(pa, pb) for pa, pb in zip(a.planes, b.planes))
     assert np.array_equal(a.counts, b.counts)
 
 

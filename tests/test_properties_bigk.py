@@ -11,7 +11,7 @@ from repro.bigk.kmer2w import (
     revcomp2w,
     split_int,
 )
-from repro.bigk.store import graph_from_plane_pairs
+from repro.graph.dbg import graph_from_pairs
 from repro.bigk.table import TwoWordHashTable
 from repro.dna.kmer import canonical_int, revcomp_int
 
@@ -73,4 +73,4 @@ class TestBigKConstructionProperties:
         slots = rng.integers(0, 9, size=n).astype(np.int64)
         table = TwoWordHashTable(1024, k)
         table.insert_batch(hi, lo, slots)
-        assert table.to_graph().equals(graph_from_plane_pairs(k, hi, lo, slots))
+        assert table.to_graph().equals(graph_from_pairs(k, hi, lo, slots))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dna.kmer import key_planes
 from repro.service.jobstore import (
     RETIRED_SPEC_KEYS,
     JobError,
@@ -20,10 +21,10 @@ class TestJobSpec:
     def test_defaults_valid(self):
         s = spec()
         assert s.claim_weight == 1
-        assert not s.big_k
+        assert key_planes(s.k) == 1
 
     def test_big_k_flag(self):
-        assert spec(k=41, p=6).big_k
+        assert key_planes(spec(k=41, p=6).k) == 2
 
     @pytest.mark.parametrize("bad", [
         dict(k=0), dict(k=64), dict(p=0), dict(p=16),  # p > k=15
